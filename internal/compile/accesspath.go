@@ -11,7 +11,8 @@ import (
 // Access-path analysis. Evaluation dispatches every relational term to
 // foreach, get, or slice depending on which of its columns are bound when
 // it is reached (Sec. 5.1); the binding flow is static — left to right
-// through products, restored across union terms — so the compiler can
+// through each product in the order the join-ordering pass gave it
+// (joinorder.go), restored across union terms — so the compiler can
 // enumerate exactly the (relation, bound-column mask) pairs the slice path
 // will probe at run time. Executors use the result to register the needed
 // persistent secondary indexes up front, instead of paying a full build on

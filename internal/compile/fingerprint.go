@@ -20,10 +20,10 @@ import (
 // folding. Relation names (base tables, views, deltas) are preserved —
 // plans over different relations are different plans.
 //
-// The canonical tree is never evaluated: execution keeps the original
-// factor order (Mul binds variables left to right, Sec. 3.2.1), so
-// canonicalization only keys the plan cache and the cross-view sub-plan
-// dedup of the shared compiler.
+// The canonical tree is never evaluated: execution runs the compiled
+// program's factor order (chosen by the join-ordering pass, see
+// joinorder.go), so canonicalization only keys the plan cache and the
+// cross-view sub-plan dedup of the shared compiler.
 func Canon(e expr.Expr) string {
 	n := sortCommutative(expr.Simplify(e.Clone()))
 	return renameVars(n, canonRenaming(n)).String()

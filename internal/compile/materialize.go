@@ -88,6 +88,7 @@ func Compile(queryName string, q expr.Expr, bases map[string]mring.Schema, opts 
 			c.preAggregate(prog, trg)
 		}
 	}
+	orderProgramJoins(prog, rels)
 	prog.Indexes = collectIndexSpecs(prog)
 	prog.Kernels = collectKernelStmts(prog)
 	return prog, nil

@@ -225,7 +225,7 @@ func extractDom(e expr.Expr) expr.Expr {
 				// binder in the domain: (B = B2) with B2 bound binds the
 				// correlated variable B, giving the domain of affected
 				// groups (Sec. 3.2.3's range restriction).
-				if bind := equalityBinder(p, bound); bind != nil {
+				if bind := expr.EqualityBinder(p, bound); bind != nil {
 					dom = unionDoms(dom, bind)
 					bound = bound.Union(bind.Schema())
 					changed = true
@@ -284,30 +284,6 @@ func extractDom(e expr.Expr) expr.Expr {
 		return one
 	default:
 		return one
-	}
-}
-
-// equalityBinder converts a var=var comparison with exactly one side
-// bound into a variable assignment that binds the other side, or returns
-// nil when not applicable.
-func equalityBinder(p expr.Expr, bound mring.Schema) expr.Expr {
-	c, ok := p.(*expr.Cmp)
-	if !ok || c.Op != expr.CEq {
-		return nil
-	}
-	l, lok := c.L.(expr.VarRef)
-	r, rok := c.R.(expr.VarRef)
-	if !lok || !rok {
-		return nil
-	}
-	lb, rb := bound.Contains(l.Name), bound.Contains(r.Name)
-	switch {
-	case lb && !rb:
-		return expr.LiftV(r.Name, expr.V(l.Name))
-	case rb && !lb:
-		return expr.LiftV(l.Name, expr.V(r.Name))
-	default:
-		return nil
 	}
 }
 

@@ -330,6 +330,31 @@ func LiftQ(v string, q Expr) Expr { return &Assign{Var: v, Q: q} }
 // LiftV builds var := value.
 func LiftV(v string, e VExpr) Expr { return &Assign{Var: v, ValE: e} }
 
+// EqualityBinder turns a var = var comparison with exactly one side in
+// bound into the assignment that binds the other side to it
+// (unbound := bound), which evaluates as the same equality but binds
+// instead of filtering. It returns nil when p is not such a comparison.
+func EqualityBinder(p Expr, bound mring.Schema) Expr {
+	c, ok := p.(*Cmp)
+	if !ok || c.Op != CEq {
+		return nil
+	}
+	l, lok := c.L.(VarRef)
+	r, rok := c.R.(VarRef)
+	if !lok || !rok {
+		return nil
+	}
+	lb, rb := bound.Contains(l.Name), bound.Contains(r.Name)
+	switch {
+	case lb && !rb:
+		return LiftV(r.Name, l)
+	case rb && !lb:
+		return LiftV(l.Name, r)
+	default:
+		return nil
+	}
+}
+
 // ExistsE wraps Body in an Exists node.
 func ExistsE(body Expr) Expr { return &Exists{Body: body} }
 

@@ -262,3 +262,28 @@ func TestFloorDiv(t *testing.T) {
 		t.Fatalf("div by zero should be 0, got %d", z.AsInt())
 	}
 }
+
+func TestEqualityBinder(t *testing.T) {
+	eq := Eq(V("a"), V("b"))
+	cases := []struct {
+		p     Expr
+		bound mring.Schema
+		want  string
+	}{
+		{eq, mring.Schema{"a"}, "(b := a)"},
+		{eq, mring.Schema{"b"}, "(a := b)"},
+		{eq, mring.Schema{"a", "b"}, "<nil>"},                   // both bound: stays a filter
+		{eq, nil, "<nil>"},                                      // neither bound
+		{Eq(V("a"), LitI(3)), nil, "<nil>"},                     // not var = var
+		{CmpE(CLt, V("a"), V("b")), mring.Schema{"a"}, "<nil>"}, // not an equality
+	}
+	for _, c := range cases {
+		got := "<nil>"
+		if b := EqualityBinder(c.p, c.bound); b != nil {
+			got = b.String()
+		}
+		if got != c.want {
+			t.Errorf("EqualityBinder(%s, %v) = %s, want %s", c.p, c.bound, got, c.want)
+		}
+	}
+}

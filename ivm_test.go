@@ -397,3 +397,46 @@ func TestDistributedTPCHKeyRanks(t *testing.T) {
 		t.Fatal("last-transaction metrics empty")
 	}
 }
+
+// TestQ3TriggersProbe: through the public API, Q3's triggers lead with
+// the pre-aggregated delta and reach M1 and M3 by key, so maintenance
+// probes indexes instead of scanning the customer × orders state.
+func TestQ3TriggersProbe(t *testing.T) {
+	q, err := tpch.QueryByName("Q3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New("Q3", q.Def, q.BaseSchemas())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := tpch.NewStream(tpch.NewGenerator(0.05, 1), q.Tables)
+	for i := 0; i < 4; i++ {
+		tx := eng.NewTx()
+		for _, b := range stream.NextBatches(100) {
+			if err := tx.Put(b.Table, &Batch{rel: b.Rel}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Apply(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := eng.Stats()
+	if st.Lookups == 0 {
+		t.Errorf("Stats().Lookups = 0 after %d scans: Q3 triggers do not probe", st.Scans)
+	}
+	m1 := map[int]bool{}
+	for _, ix := range st.Indexes {
+		if ix.View == "M1" && len(ix.Cols) == 1 {
+			m1[ix.Cols[0]] = true
+		}
+	}
+	if !m1[0] || !m1[1] {
+		t.Errorf("Stats().Indexes = %+v, want M1 indexed on o_orderkey [0] and o_custkey [1]", st.Indexes)
+	}
+	trg := eng.TriggerProgram(tpch.Lineitem)
+	if !strings.Contains(trg, "Q3 += Sum_[o_orderkey,o_orderdate,o_shippriority]((Q3_lineitem_DELTA(") {
+		t.Errorf("lineitem trigger does not lead with Q3_lineitem_DELTA:\n%s", trg)
+	}
+}
