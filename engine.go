@@ -1009,50 +1009,17 @@ func (lb *localBackend) RestoreState(cp *cluster.Checkpoint) error {
 
 func (lb *localBackend) Close() error { return nil }
 
-// clusterRuntime is the cluster seam distBackend drives. The simulated
-// in-process cluster and the process cluster over a real transport
-// implement the same surface, so one backend serves both deployments.
-type clusterRuntime interface {
-	Workers() int
-	RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relation) (cluster.Metrics, error)
-	WarmViews(contents map[string]*mring.Relation) error
-	ViewContents(name string) *mring.Relation
-	WatchView(name string)
-	UnwatchView(name string)
-	TakeWatchDelta(name string) *mring.Relation
-	EvalStats() eval.Stats
-	WorkerTimings() []cluster.WorkerTiming
-	ForEachRelation(f func(name string, r *mring.Relation))
-	CheckpointState() (*cluster.Checkpoint, error)
-	RestoreState(cp *cluster.Checkpoint) error
-	Close() error
-}
-
-// repartitioner is the optional in-place rebalance surface: only the
-// simulated cluster can move state between its workers directly; the
-// process cluster does not implement it, so Rebalance is a no-op there.
-type repartitioner interface {
-	Repartition(parts dist.PartInfo, contents map[string]*mring.Relation, keep map[string]bool) error
-}
-
-// deltaNoter lets a runtime fold committed per-batch deltas into its
-// last-committed read cache (the process cluster's poisoned-read
-// fallback).
-type deltaNoter interface {
-	NoteDelta(name string, delta *mring.Relation)
-}
-
-// distBackend runs the compiled program on a cluster runtime: the
-// simulated synchronous cluster (Distributed) or the process cluster
-// over sockets (Remote). Views are partitioned by the paper's heuristic
-// and batches are processed through compiled distributed trigger
-// programs either way.
+// distBackend runs the compiled program on the cluster driver, over
+// in-process shards (Distributed) or worker processes over sockets
+// (Remote). Views are partitioned by the paper's heuristic and batches
+// are processed through compiled distributed trigger programs either
+// way.
 type distBackend struct {
 	prog     *compile.Program
 	parts    dist.PartInfo
 	keyRanks map[string]int
 	dprogs   map[string]*dist.DistProgram
-	cl       clusterRuntime
+	cl       *cluster.Cluster
 	total    Metrics
 	last     Metrics
 	// watching mirrors the cluster's watch set (a view is in it only
@@ -1068,9 +1035,9 @@ func newDistBackend(prog *compile.Program, workers int, keyRanks map[string]int)
 }
 
 // newRemoteBackend connects the same distributed backend to worker
-// processes: identical partitioning choice and compiled programs, with
-// the process cluster as the runtime, so results are bitwise-equal to
-// the simulated deployment at the same worker count.
+// processes: identical partitioning choice and compiled programs on the
+// same driver, so results are bitwise-equal to the in-process
+// deployment at the same worker count.
 func newRemoteBackend(prog *compile.Program, addrs []string, keyRanks map[string]int) (*distBackend, error) {
 	parts := dist.ChoosePartitioning(prog, keyRanks)
 	dprogs := dist.CompileProgram(prog, parts, dist.O3)
@@ -1130,15 +1097,12 @@ func (db *distBackend) ApplyTx(tx []compile.TableBatch, capture []string) (map[s
 		return nil, nil
 	}
 	out := make(map[string]*mring.Relation, len(capture))
-	nd, noting := db.cl.(deltaNoter)
 	for _, v := range capture {
 		d := db.cl.TakeWatchDelta(v)
 		out[v] = d
-		if noting && d != nil {
-			// Keep the runtime's last-committed read cache current so a
-			// later failure can freeze reads at this commit.
-			nd.NoteDelta(v, d)
-		}
+		// Keep the last-committed read cache current so a later failure
+		// can freeze reads at this commit.
+		db.cl.NoteDelta(v, d)
 	}
 	return out, nil
 }
@@ -1202,12 +1166,7 @@ func (db *distBackend) ForEachRelation(f func(name string, r *mring.Relation)) {
 // with the deployed partitioning, so a restore re-warms the same
 // deployment shape even after a skew-feedback repartition.
 func (db *distBackend) SnapshotState() (*cluster.Checkpoint, error) {
-	cp, err := db.cl.CheckpointState()
-	if err != nil {
-		return nil, err
-	}
-	cp.Parts = db.parts.Clone()
-	return cp, nil
+	return db.cl.Checkpoint()
 }
 
 // RestoreState installs the checkpoint across the cluster, then adopts
@@ -1216,7 +1175,7 @@ func (db *distBackend) SnapshotState() (*cluster.Checkpoint, error) {
 // recompile against it so maintenance keeps matching the restored
 // fragment placement.
 func (db *distBackend) RestoreState(cp *cluster.Checkpoint) error {
-	if err := db.cl.RestoreState(cp); err != nil {
+	if err := db.cl.Restore(cp); err != nil {
 		return err
 	}
 	if cp.Parts != nil && !cp.Parts.Equal(db.parts) {
@@ -1283,12 +1242,6 @@ func (db *distBackend) measureSkew() map[string]float64 {
 // and the distributed trigger programs recompile against the new
 // placement.
 func (db *distBackend) Rebalance() (bool, error) {
-	rp, ok := db.cl.(repartitioner)
-	if !ok {
-		// The process cluster cannot move state between live workers;
-		// skew feedback stays a no-op there (DESIGN.md §11).
-		return false, nil
-	}
 	weights := db.measureSkew()
 	if len(weights) == 0 {
 		return false, nil
@@ -1306,7 +1259,7 @@ func (db *distBackend) Rebalance() (bool, error) {
 			moved[v.Name] = db.cl.ViewContents(v.Name)
 		}
 	})
-	if err := rp.Repartition(parts, moved, keep); err != nil {
+	if err := db.cl.Repartition(parts, moved, keep); err != nil {
 		return false, err
 	}
 	db.parts = parts

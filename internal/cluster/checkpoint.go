@@ -42,9 +42,11 @@ type Checkpoint struct {
 	Bytes int64
 }
 
-// Frag is one relation's snapshot: its schema (payloads of empty
-// relations are nil and carry none), its bucket-table size (0 when the
-// relation never allocated one), and its rows in Foreach order.
+// Frag is one relation in layout-exact serialized form — a checkpoint
+// fragment, and the form relations take on the worker wire: its schema
+// (payloads of empty relations are nil and carry none), its bucket-table
+// size (0 when the relation never allocated one), and its rows in
+// Foreach order.
 type Frag struct {
 	Schema  mring.Schema
 	Buckets int
@@ -83,10 +85,45 @@ func restoreFrag(name string, f Frag) (*mring.Relation, error) {
 	return r, nil
 }
 
+// snapRels encodes every restorable relation in rels, adding the payload
+// sizes to *bytes when bytes is non-nil.
+func snapRels(rels map[string]*mring.Relation, bytes *int64) map[string]Frag {
+	out := make(map[string]Frag, len(rels))
+	for name, r := range rels {
+		if !worthSnapshot(r) {
+			continue
+		}
+		f := snapFrag(r)
+		out[name] = f
+		if bytes != nil {
+			*bytes += int64(len(f.Payload))
+		}
+	}
+	return out
+}
+
+// restoreFrags rebuilds every fragment of one node, failing on the first
+// corrupt one.
+func restoreFrags(enc map[string]Frag) (map[string]*mring.Relation, error) {
+	out := make(map[string]*mring.Relation, len(enc))
+	for name, f := range enc {
+		r, err := restoreFrag(name, f)
+		if err != nil {
+			return nil, err
+		}
+		out[name] = r
+	}
+	return out, nil
+}
+
 // CheckpointCost models the virtual time to write the snapshot, charged
 // against the same bandwidth as shuffles (the paper notes checkpointing
-// "may have detrimental effects on the latency of processing").
+// "may have detrimental effects on the latency of processing"). Zero on
+// a cluster without a cost model (Connect).
 func (c *Cluster) CheckpointCost(cp *Checkpoint) time.Duration {
+	if c.cfg == nil {
+		return 0
+	}
 	perWorker := int64(0)
 	for _, w := range cp.Workers {
 		var n int64
@@ -103,91 +140,79 @@ func (c *Cluster) CheckpointCost(cp *Checkpoint) time.Duration {
 
 // Checkpoint snapshots all materialized state — every node's fragments,
 // including empty-but-sized ones, so Restore reproduces each node's
-// physical layout exactly.
-func (c *Cluster) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{Driver: map[string]Frag{}}
-	encode := func(n *node) map[string]Frag {
-		out := map[string]Frag{}
-		for name, r := range n.rels {
-			if !worthSnapshot(r) {
-				continue
-			}
-			f := snapFrag(r)
-			out[name] = f
+// physical layout exactly — with the placement it was captured under.
+func (c *Cluster) Checkpoint() (*Checkpoint, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	cp := &Checkpoint{}
+	cp.Driver = snapRels(c.driver.rels, &cp.Bytes)
+	cp.Workers = make([]map[string]Frag, len(c.workers))
+	if err := c.each(false, func(i int, w worker) error {
+		frags, err := w.snapshot()
+		cp.Workers[i] = frags
+		return err
+	}); err != nil {
+		return nil, c.fail(err)
+	}
+	for _, w := range cp.Workers {
+		for _, f := range w {
 			cp.Bytes += int64(len(f.Payload))
 		}
-		return out
-	}
-	cp.Driver = encode(c.driver)
-	cp.Workers = make([]map[string]Frag, len(c.workers))
-	for i, w := range c.workers {
-		cp.Workers[i] = encode(w)
 	}
 	cp.Parts = c.parts.Clone()
-	return cp
+	return cp, nil
 }
 
 // Restore replaces all cluster state with the checkpoint's. The worker
 // count must match the snapshot (the paper's recovery model restarts the
-// same deployment).
+// same deployment). Checkpoints may come from unreliable storage, so
+// every fragment decodes through the bounds-guarded payload decoder and
+// validates before any state is touched: a corrupt snapshot returns an
+// error and leaves the cluster as it was.
 func (c *Cluster) Restore(cp *Checkpoint) error {
+	if c.err != nil {
+		return c.err
+	}
 	if len(cp.Workers) != len(c.workers) {
 		return fmt.Errorf("cluster: checkpoint has %d workers, cluster has %d",
 			len(cp.Workers), len(c.workers))
 	}
-	// Checkpoints may come from unreliable storage, so decoding goes
-	// through the bounds-guarded payload decoder: a corrupt or hostile
-	// snapshot returns an error here, it never panics mid-restore.
-	decode := func(enc map[string]Frag) (map[string]*mring.Relation, error) {
-		out := map[string]*mring.Relation{}
-		for name, f := range enc {
-			r, err := restoreFrag(name, f)
-			if err != nil {
-				return nil, err
-			}
-			out[name] = r
-		}
-		return out, nil
-	}
-	driver, err := decode(cp.Driver)
+	driver, err := restoreFrags(cp.Driver)
 	if err != nil {
 		return err
 	}
 	workers := make([]map[string]*mring.Relation, len(cp.Workers))
 	for i, enc := range cp.Workers {
-		w, err := decode(enc)
-		if err != nil {
+		if workers[i], err = restoreFrags(enc); err != nil {
 			return err
 		}
-		workers[i] = w
 	}
-	// Apply only after full validation so a corrupt snapshot cannot leave
-	// the cluster half-restored.
+	if err := c.each(false, func(i int, w worker) error { return w.restore(workers[i]) }); err != nil {
+		return c.fail(err)
+	}
 	c.driver.rels = driver
-	for i := range c.workers {
-		c.workers[i].rels = workers[i]
+	for name, r := range driver {
+		c.schemas[name] = r.Schema()
 	}
 	if cp.Parts != nil {
 		c.parts = cp.Parts
 	}
+	c.committed = map[string]*mring.Relation{}
+	c.since = map[string]*mring.Relation{}
 	return nil
 }
 
-// CheckpointState and RestoreState adapt the simulated cluster to the
-// runtime snapshot seam the durable engine uses (the process cluster
-// implements the same pair over the wire).
-func (c *Cluster) CheckpointState() (*Checkpoint, error) { return c.Checkpoint(), nil }
-
-// RestoreState installs a checkpoint into the cluster.
-func (c *Cluster) RestoreState(cp *Checkpoint) error { return c.Restore(cp) }
-
 // KillWorker simulates a worker failure by discarding its state. A
 // subsequent Restore recovers the deployment from the last checkpoint.
-func (c *Cluster) KillWorker(i int) {
+func (c *Cluster) KillWorker(i int) error {
 	if i < 0 || i >= len(c.workers) {
 		panic("cluster: no such worker")
 	}
-	c.workers[i] = newNode()
+	if err := c.workers[i].restore(map[string]*mring.Relation{}); err != nil {
+		return c.fail(err)
+	}
+	return nil
 }
 
 // Checkpoint serialization. The encoding carries a magic + format

@@ -77,7 +77,7 @@ func requireSameNodes(t *testing.T, got, want *Cluster) {
 	}
 	cmp("driver", got.driver, want.driver)
 	for i := range want.workers {
-		cmp("worker", got.workers[i], want.workers[i])
+		cmp("worker", got.workers[i].(*Shard).node, want.workers[i].(*Shard).node)
 	}
 }
 
@@ -86,7 +86,7 @@ func requireSameNodes(t *testing.T, got, want *Cluster) {
 // layout of the original, not just equal contents.
 func TestCheckpointEncodeDecodeVersioned(t *testing.T) {
 	cl, fresh := ckptFixture(t)
-	enc, err := EncodeCheckpoint(cl.Checkpoint())
+	enc, err := EncodeCheckpoint(mustCheckpoint(t, cl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCheckpointEncodeDecodeVersioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl2 := fresh()
-	if err := cl2.RestoreState(dec); err != nil {
+	if err := cl2.Restore(dec); err != nil {
 		t.Fatal(err)
 	}
 	requireSameNodes(t, cl2, cl)
@@ -109,7 +109,7 @@ func TestCheckpointEncodeDecodeVersioned(t *testing.T) {
 // restores contents correctly, just without the layout guarantee.
 func TestDecodeCheckpointLegacy(t *testing.T) {
 	cl, fresh := ckptFixture(t)
-	cp := cl.Checkpoint()
+	cp := mustCheckpoint(t, cl)
 	legacy := legacyCheckpoint{Driver: map[string][]byte{}, Workers: make([]map[string][]byte, len(cp.Workers))}
 	for name, f := range cp.Driver {
 		if len(f.Payload) > 0 {
@@ -133,7 +133,7 @@ func TestDecodeCheckpointLegacy(t *testing.T) {
 		t.Fatalf("legacy decode: %v", err)
 	}
 	cl2 := fresh()
-	if err := cl2.RestoreState(dec); err != nil {
+	if err := cl2.Restore(dec); err != nil {
 		t.Fatal(err)
 	}
 	if !cl2.ViewContents("QV").Equal(cl.ViewContents("QV")) {
@@ -143,7 +143,7 @@ func TestDecodeCheckpointLegacy(t *testing.T) {
 
 func TestDecodeCheckpointBadVersion(t *testing.T) {
 	cl, _ := ckptFixture(t)
-	enc, err := EncodeCheckpoint(cl.Checkpoint())
+	enc, err := EncodeCheckpoint(mustCheckpoint(t, cl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,4 +154,13 @@ func TestDecodeCheckpointBadVersion(t *testing.T) {
 	if _, err := DecodeCheckpoint([]byte("garbage that is neither format")); err == nil {
 		t.Fatal("garbage should not decode")
 	}
+}
+
+func mustCheckpoint(t *testing.T, cl *Cluster) *Checkpoint {
+	t.Helper()
+	cp, err := cl.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
 }

@@ -1,24 +1,26 @@
-// Package cluster simulates the synchronous large-scale processing
-// platform of Sec. 4 and 6.2 (the paper ran Spark 1.6.1 on 100 servers):
-// one driver orchestrates N stateful workers; processing a batch runs a
-// sequence of statement blocks, each distributed block being one stage
-// executed by all workers in parallel.
+// Package cluster runs the synchronous large-scale processing platform of
+// Sec. 4 and 6.2 (the paper ran Spark 1.6.1 on 100 servers): one driver
+// orchestrates N stateful workers; processing a batch runs a sequence of
+// statement blocks, each distributed block being one stage executed by
+// all workers in parallel.
 //
-// The simulator really executes the compiled distributed programs over
-// really-partitioned state and really-serialized shuffles (bytes are
-// counted through the columnar wire format), and combines the measured
-// per-worker work with a virtual-time cost model for the platform terms
-// the paper measures: per-stage scheduling/synchronization overhead that
-// grows with the worker count, shuffle time proportional to the maximum
-// per-worker payload, and optional straggler inflation. DESIGN.md §3
-// documents this substitution.
+// There is one driver, Cluster, over two kinds of worker: in-process
+// shards (New), called directly with fragments passed by reference, and
+// shards in worker processes behind a framed transport (Connect). Both
+// really execute the compiled distributed programs over
+// really-partitioned state, and both produce bitwise-identical results.
+// The driver accounts each block's measured work once: New charges it
+// through a virtual-time cost model for the platform terms the paper
+// measures (per-stage scheduling/synchronization overhead that grows
+// with the worker count, shuffle time proportional to the maximum
+// per-worker payload, optional straggler inflation); Connect charges
+// measured wall time. DESIGN.md §3 documents this substitution.
 package cluster
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -71,32 +73,18 @@ func DefaultConfig(workers int) Config {
 	}
 }
 
-// node holds the relation fragments of one worker (or the driver).
-type node struct {
-	rels map[string]*mring.Relation
-}
-
-func newNode() *node { return &node{rels: make(map[string]*mring.Relation)} }
-
-func (n *node) rel(name string, schema mring.Schema) *mring.Relation {
-	r := n.rels[name]
-	if r == nil {
-		r = mring.NewRelation(schema)
-		n.rels[name] = r
-	}
-	return r
-}
-
-// Metrics reports the virtual cost of processing one batch.
+// Metrics reports the cost the driver charged for processing one batch:
+// virtual time under a cost model (New), measured wall time without one
+// (Connect).
 type Metrics struct {
-	// Latency is the virtual end-to-end batch processing time.
+	// Latency is the end-to-end batch processing time.
 	Latency time.Duration
 	// ComputeMax accumulates, per stage, the slowest worker's compute.
 	ComputeMax time.Duration
 	// ComputeSum is total compute across all workers (CPU-seconds).
 	ComputeSum time.Duration
-	// ShuffledBytes is the total serialized payload moved over the
-	// network.
+	// ShuffledBytes is the total columnar wire size of the fragments
+	// moved between nodes.
 	ShuffledBytes int64
 	// MaxWorkerShuffleBytes is the largest per-worker payload in any one
 	// round (the term that bounds shuffle time).
@@ -120,20 +108,37 @@ func (m *Metrics) Add(o Metrics) {
 	m.Jobs += o.Jobs
 }
 
-// Cluster is one simulated deployment: schemas and partitioning are fixed
-// at construction; state persists across batches (workers are stateful).
+// Cluster is one deployment's driver: schemas and partitioning are fixed
+// at construction (until Repartition or Restore); state persists across
+// batches (workers are stateful).
+//
+// Failure semantics: the first failed worker operation poisons the
+// cluster (worker state may have partially advanced and cannot be
+// trusted); every later operation returns the poisoning error, and
+// ViewContents serves each view as of the last commit it observed, so a
+// mid-transaction failure leaves results at the pre-transaction state.
 type Cluster struct {
-	cfg     Config
+	// cfg is the virtual cost model; nil charges measured wall time.
+	cfg     *Config
 	driver  *node
-	workers []*node
+	workers []worker
+	// concurrent fans every worker call out on its own goroutine (remote
+	// workers block on the network). In-process shards move data and
+	// serve reads inline; only their stages run concurrently.
+	concurrent bool
+	// slots bounds the in-flight stage workers to the CPU count when an
+	// in-process cluster measures compute (ComputeNsPerOp == 0), so each
+	// worker's wall time approximates its own compute rather than
+	// scheduler queueing behind the others.
+	slots   chan struct{}
 	schemas map[string]mring.Schema
 	parts   dist.PartInfo
 	rng     *rand.Rand
-	// Stats accumulates evaluation statistics across all nodes and
+	// stats accumulates evaluation statistics across all nodes and
 	// batches. Per-worker contributions are merged in worker-index order
 	// after each stage barrier, so the totals are deterministic even
 	// though the workers run concurrently.
-	Stats eval.Stats
+	stats eval.Stats
 	// watch maps each watched view (WatchView) to the delta accumulated
 	// since its last TakeWatchDelta, gathered deterministically:
 	// driver-side folds for local/replicated views, per-worker folds
@@ -141,17 +146,27 @@ type Cluster struct {
 	// Several views can be watched at once (multi-view serving); an
 	// empty map disables all capture.
 	watch map[string]*mring.Relation
-	// workerCompute and workerStages accumulate, per worker, the virtual
+	// workerCompute and workerStages accumulate, per worker, the charged
 	// stage compute and the number of distributed stages executed — the
 	// skew signal WorkerTimings exports (merged-away maxima alone cannot
 	// show which worker is hot).
 	workerCompute []time.Duration
 	workerStages  []int
+
+	// err is the poison: set by the first failed operation, returned by
+	// every operation after it.
+	err error
+	// committed holds each view's last healthy read. It is shared with
+	// that read's caller, so it is never mutated; since accumulates the
+	// committed deltas noted after it (NoteDelta). A poisoned cluster
+	// serves committed plus since. Reads cost no copy.
+	committed map[string]*mring.Relation
+	since     map[string]*mring.Relation
 }
 
 // WorkerTiming is one worker's accumulated share of distributed-stage
 // work, as reported by WorkerTimings. Compute is the sum over stages of
-// this worker's virtual compute (the same per-worker term whose maximum
+// this worker's charged compute (the same per-worker term whose maximum
 // feeds Metrics.ComputeMax); Stages counts the distributed stages the
 // worker participated in. A max/mean ratio over Compute far above 1 is
 // partition skew.
@@ -161,55 +176,104 @@ type WorkerTiming struct {
 	Stages  int
 }
 
-// New creates a cluster with empty state.
+// New creates a cluster of cfg.Workers in-process shards with empty
+// state, charged through cfg's cost model.
 func New(cfg Config, schemas map[string]mring.Schema, parts dist.PartInfo) *Cluster {
 	if cfg.Workers <= 0 {
 		panic("cluster: need at least one worker")
 	}
-	c := &Cluster{
-		cfg:           cfg,
-		driver:        newNode(),
-		workers:       make([]*node, cfg.Workers),
-		schemas:       schemas,
-		parts:         parts,
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
-		workerCompute: make([]time.Duration, cfg.Workers),
-		workerStages:  make([]int, cfg.Workers),
+	workers := make([]worker, cfg.Workers)
+	for i := range workers {
+		workers[i] = newShard(cfg.Workers)
 	}
-	for i := range c.workers {
-		c.workers[i] = newNode()
+	c := newCluster(&cfg, workers, false, schemas, parts)
+	if cfg.ComputeNsPerOp <= 0 {
+		c.slots = make(chan struct{}, runtime.GOMAXPROCS(0))
 	}
 	return c
 }
 
-// Workers returns the configured worker count.
-func (c *Cluster) Workers() int { return c.cfg.Workers }
+func newCluster(cfg *Config, workers []worker, concurrent bool, schemas map[string]mring.Schema, parts dist.PartInfo) *Cluster {
+	c := &Cluster{
+		cfg:           cfg,
+		driver:        newNode(),
+		workers:       workers,
+		concurrent:    concurrent,
+		schemas:       schemas,
+		parts:         parts,
+		workerCompute: make([]time.Duration, len(workers)),
+		workerStages:  make([]int, len(workers)),
+		committed:     make(map[string]*mring.Relation),
+		since:         make(map[string]*mring.Relation),
+	}
+	if cfg != nil {
+		c.rng = rand.New(rand.NewSource(cfg.Seed))
+	}
+	return c
+}
+
+// Workers returns the worker count.
+func (c *Cluster) Workers() int { return len(c.workers) }
 
 // EvalStats returns the evaluation statistics accumulated across all
-// nodes and batches (the Stats field behind a method, so the simulated
-// and process clusters expose the counters uniformly).
-func (c *Cluster) EvalStats() eval.Stats { return c.Stats }
+// nodes and batches.
+func (c *Cluster) EvalStats() eval.Stats { return c.stats }
 
-// Close releases the cluster's resources. The simulated cluster holds
-// none; the method exists so every cluster runtime closes uniformly.
-func (c *Cluster) Close() error { return nil }
-
-// RunPartitionedBatch deals a driver-resident batch round-robin over the
-// workers and processes it as RunPartitioned. The split happens here, in
-// the runtime, because the process cluster must serialize each fragment
-// in deal order — splitting before the runtime boundary would force the
-// caller to know the wire format.
-func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relation) (Metrics, error) {
-	frags := make([]*mring.Relation, len(c.workers))
-	for i := range frags {
-		frags[i] = mring.NewRelation(batch.Schema())
+// Close releases the workers (severing remote connections). Safe to
+// call more than once.
+func (c *Cluster) Close() error {
+	var first error
+	for _, w := range c.workers {
+		if err := w.close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	i := 0
-	batch.Foreach(func(t mring.Tuple, m float64) {
-		frags[i%len(frags)].Add(t, m)
-		i++
-	})
-	return c.RunPartitioned(prog, frags)
+	return first
+}
+
+// fail poisons the cluster with the first error and returns the poison.
+func (c *Cluster) fail(err error) error {
+	if c.err == nil {
+		c.err = fmt.Errorf("cluster: worker operation failed, results frozen at last commit: %w", err)
+	}
+	return c.err
+}
+
+// each calls f for every worker and returns the lowest-index error.
+// Stages, and every call on a concurrent cluster, run on one goroutine
+// per worker behind a barrier; other calls on in-process shards run
+// inline in index order. Callers write per-worker outcomes to per-index
+// slots and merge them in worker-index order afterwards — the
+// merge-determinism invariant.
+func (c *Cluster) each(stage bool, f func(i int, w worker) error) error {
+	if !stage && !c.concurrent {
+		for i, w := range c.workers {
+			if err := f(i, w); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, len(c.workers))
+	var wg sync.WaitGroup
+	wg.Add(len(c.workers))
+	for i, w := range c.workers {
+		go func(i int, w worker) {
+			defer wg.Done()
+			if stage && c.slots != nil {
+				c.slots <- struct{}{}
+				defer func() { <-c.slots }()
+			}
+			errs[i] = f(i, w)
+		}(i, w)
+	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	return nil
 }
 
 // WorkerTimings returns each worker's accumulated distributed-stage
@@ -223,24 +287,16 @@ func (c *Cluster) WorkerTimings() []WorkerTiming {
 	return out
 }
 
-// ForEachRelation visits every named relation fragment on every node —
-// driver first, then workers in index order, names sorted within each
-// node — so per-fragment state (index admission records) can be swept
-// and aggregated deterministically.
+// ForEachRelation visits every named relation fragment the driver can
+// reach — the driver's first, then each in-process worker's in index
+// order, names sorted within each node — so per-fragment state (index
+// admission records) can be swept and aggregated deterministically.
+// Remote workers' fragments live in their own processes and are not
+// visited (DESIGN.md §11).
 func (c *Cluster) ForEachRelation(f func(name string, r *mring.Relation)) {
-	visit := func(n *node) {
-		names := make([]string, 0, len(n.rels))
-		for name := range n.rels {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			f(name, n.rels[name])
-		}
-	}
-	visit(c.driver)
+	visitSorted(c.driver.rels, f)
 	for _, w := range c.workers {
-		visit(w)
+		w.relations(f)
 	}
 }
 
@@ -250,19 +306,23 @@ func (c *Cluster) ForEachRelation(f func(name string, r *mring.Relation)) {
 // old placement may have left behind) is dropped from the driver and
 // all workers, the new placement takes effect, and the moved views'
 // gathered contents are re-installed under their new locations via
-// WarmViews. The caller must not run a program compiled against the old
-// placement afterwards.
+// WarmViews (which takes ownership of them). The caller must not run a
+// program compiled against the old placement afterwards.
 func (c *Cluster) Repartition(parts dist.PartInfo, contents map[string]*mring.Relation, keep map[string]bool) error {
-	drop := func(n *node) {
-		for name := range n.rels {
-			if !keep[name] {
-				delete(n.rels, name)
-			}
-		}
+	if c.err != nil {
+		return c.err
 	}
-	drop(c.driver)
-	for _, w := range c.workers {
-		drop(w)
+	dropExcept(c.driver.rels, keep)
+	if err := c.each(false, func(_ int, w worker) error { return w.drop(keep) }); err != nil {
+		return c.fail(err)
+	}
+	// Moved contents usually come from ViewContents, which shares its
+	// result with the read cache; the cluster is about to own and
+	// mutate them, so the cache keeps a copy.
+	for name, rel := range contents {
+		if c.committed[name] == rel {
+			c.committed[name] = rel.Clone()
+		}
 	}
 	c.parts = parts
 	return c.WarmViews(contents)
@@ -302,6 +362,21 @@ func (c *Cluster) TakeWatchDelta(name string) *mring.Relation {
 	return d
 }
 
+// NoteDelta records a committed per-batch delta of a view, keeping the
+// poisoned-read fallback at the last commit without a re-read (or a
+// copy) per transaction.
+func (c *Cluster) NoteDelta(name string, delta *mring.Relation) {
+	if c.err != nil || delta == nil || c.committed[name] == nil {
+		return
+	}
+	s := c.since[name]
+	if s == nil {
+		s = mring.NewRelation(delta.Schema())
+		c.since[name] = s
+	}
+	s.Merge(delta)
+}
+
 // watchDriverSide reports whether a view's canonical maintenance writes
 // happen at the driver (local and replicated views; for a replicated
 // view only the driver mirror is captured — every worker replays the
@@ -330,19 +405,25 @@ func (c *Cluster) driverSinkFor(lhs string) *mring.Relation {
 // plus the driver mirror for replicated views. Call before the first
 // batch; the relations are owned by the cluster afterwards.
 func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
+	if c.err != nil {
+		return c.err
+	}
 	for name, rel := range contents {
 		if rel == nil {
 			continue
 		}
-		schema := c.schemaOf(name, rel.Schema())
+		schema := schemaOfIn(c.schemas, name, rel.Schema())
 		loc := c.parts[name]
+		var frags []*mring.Relation
 		switch {
 		case loc.Kind == dist.LLocal:
 			c.driver.rels[name] = rel
+			continue
 		case loc.Kind == dist.LIndiff:
 			c.driver.rels[name] = rel
-			for _, w := range c.workers {
-				w.rels[name] = rel.Clone()
+			frags = make([]*mring.Relation, len(c.workers))
+			for i := range frags {
+				frags[i] = rel.Clone()
 			}
 		case loc.Keyed():
 			keyPos := make([]int, len(loc.Key))
@@ -353,27 +434,24 @@ func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
 				}
 				keyPos[i] = p
 			}
-			frags := dist.SplitByKey(rel, keyPos, len(c.workers))
-			for i, w := range c.workers {
+			frags = dist.SplitByKey(rel, keyPos, len(c.workers))
+			for i := range frags {
 				if frags[i] == nil {
 					frags[i] = mring.NewRelation(schema)
 				}
-				w.rels[name] = frags[i]
 			}
 		default:
 			return fmt.Errorf("cluster: cannot warm load view %q located %v", name, loc)
+		}
+		if err := c.each(false, func(i int, w worker) error { return w.installDelta(name, frags[i]) }); err != nil {
+			return c.fail(err)
 		}
 	}
 	return nil
 }
 
-// schemaOf returns the schema for a view/delta name, falling back to the
-// partitioning key when unknown (temp views register lazily on first
-// write).
-func (c *Cluster) schemaOf(name string, fallback mring.Schema) mring.Schema {
-	return schemaOfIn(c.schemas, name, fallback)
-}
-
+// schemaOfIn returns the schema for a view/delta name, registering the
+// fallback when unknown (temp views register lazily on first write).
 func schemaOfIn(schemas map[string]mring.Schema, name string, fallback mring.Schema) mring.Schema {
 	if s, ok := schemas[name]; ok {
 		return s
@@ -382,19 +460,15 @@ func schemaOfIn(schemas map[string]mring.Schema, name string, fallback mring.Sch
 	return schemas[name]
 }
 
-// partIndex returns the worker index owning a tuple under the key columns
-// at the given positions (the shared platform placement function, so
-// shuffles and warm-start loads agree).
-func (c *Cluster) partIndex(t mring.Tuple, keyPos []int) int {
-	return dist.PlaceIndex(t, keyPos, len(c.workers))
-}
-
 // Run processes one update batch for the program's relation: the batch
 // starts at the driver (the paper's Fig. 5 shape: LOCAL DELTA := {...}
-// then SCATTER). Returns the virtual metrics of this batch.
+// then SCATTER). Returns the metrics of this batch.
 func (c *Cluster) Run(prog *dist.DistProgram, batch *mring.Relation) (Metrics, error) {
 	if prog == nil {
 		return Metrics{}, fmt.Errorf("cluster: nil distributed program (unknown relation?)")
+	}
+	if c.err != nil {
+		return Metrics{}, c.err
 	}
 	dn := eval.DeltaName(prog.Relation)
 	c.driver.rels[dn] = batch
@@ -411,30 +485,55 @@ func (c *Cluster) RunPartitioned(prog *dist.DistProgram, partsOfBatch []*mring.R
 	if prog == nil {
 		return Metrics{}, fmt.Errorf("cluster: nil distributed program (unknown relation?)")
 	}
+	if c.err != nil {
+		return Metrics{}, c.err
+	}
 	if len(partsOfBatch) != len(c.workers) {
 		return Metrics{}, fmt.Errorf("cluster: got %d batch partitions for %d workers", len(partsOfBatch), len(c.workers))
 	}
 	dn := eval.DeltaName(prog.Relation)
-	for i, w := range c.workers {
-		w.rels[dn] = partsOfBatch[i]
-		if partsOfBatch[i] != nil {
-			c.schemas[dn] = partsOfBatch[i].Schema()
+	for _, p := range partsOfBatch {
+		if p != nil {
+			c.schemas[dn] = p.Schema()
 		}
+	}
+	if err := c.each(false, func(i int, w worker) error { return w.installDelta(dn, partsOfBatch[i]) }); err != nil {
+		return Metrics{}, c.fail(err)
 	}
 	return c.runBlocks(prog)
 }
 
+// RunPartitionedBatch deals a driver-resident batch round-robin over the
+// workers and processes it as RunPartitioned.
+func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relation) (Metrics, error) {
+	frags := make([]*mring.Relation, len(c.workers))
+	for i := range frags {
+		frags[i] = mring.NewRelation(batch.Schema())
+	}
+	i := 0
+	batch.Foreach(func(t mring.Tuple, m float64) {
+		frags[i%len(frags)].Add(t, m)
+		i++
+	})
+	return c.RunPartitioned(prog, frags)
+}
+
+// runBlocks executes the program's blocks in order. Any failure poisons:
+// installs may have landed on a subset of workers, so worker state can
+// no longer be trusted.
 func (c *Cluster) runBlocks(prog *dist.DistProgram) (Metrics, error) {
 	var m Metrics
 	m.Stages = prog.Stages()
 	m.Jobs = prog.Jobs()
 	for _, b := range prog.Blocks {
+		var err error
 		if b.Mode == dist.LDist {
-			c.runDistBlock(b, &m)
-			continue
+			err = c.runDistBlock(b, &m)
+		} else {
+			err = c.runLocalBlock(b, &m)
 		}
-		if err := c.runLocalBlock(b, prog, &m); err != nil {
-			return m, err
+		if err != nil {
+			return m, c.fail(err)
 		}
 	}
 	return m, nil
@@ -442,17 +541,9 @@ func (c *Cluster) runBlocks(prog *dist.DistProgram) (Metrics, error) {
 
 // prepareStmts resolves every schema a block's statements may register, in
 // statement order, before any worker runs. Workers executing concurrently
-// then only read c.schemas; all lazy registration happens here, on the
-// driver thread.
-func (c *Cluster) prepareStmts(stmts []dist.Stmt) {
-	prepareStmtsIn(c.schemas, stmts)
-}
-
-// prepareStmtsIn is prepareStmts over an explicit schema map — shared by
-// the simulated cluster and the process-cluster driver, which must run
-// the identical lazy registration sequence for its shards to agree on
-// schemas.
-func prepareStmtsIn(schemas map[string]mring.Schema, stmts []dist.Stmt) {
+// then only read the schema map; all lazy registration happens here, on
+// the driver thread.
+func prepareStmts(schemas map[string]mring.Schema, stmts []dist.Stmt) {
 	for _, s := range stmts {
 		walkRefs(s.RHS, func(r *expr.Rel) {
 			name := eval.RelEnvName(r)
@@ -473,204 +564,166 @@ func prepareStmtsIn(schemas map[string]mring.Schema, stmts []dist.Stmt) {
 // runLocalBlock executes driver-side statements; transformer statements
 // trigger data movement. All transformers of a block share one
 // communication round (the code-generation batching of Sec. 4.4).
-func (c *Cluster) runLocalBlock(b dist.Block, prog *dist.DistProgram, m *Metrics) error {
-	c.prepareStmts(b.Stmts)
-	rounds := 0
-	var roundBytes int64
-	var maxWorkerBytes int64
-	computeStart := time.Now()
+func (c *Cluster) runLocalBlock(b dist.Block, m *Metrics) error {
+	prepareStmts(c.schemas, b.Stmts)
+	shuffled := false
+	var bytes, maxPer int64
+	start := time.Now()
 	var st eval.Stats
 	for _, s := range b.Stmts {
 		if x, ok := s.RHS.(*dist.Xform); ok {
-			bytes, maxPer, err := c.applyXform(s.LHS, x)
+			total, per, err := c.applyXform(s.LHS, x)
 			if err != nil {
 				return err
 			}
-			rounds = 1
-			roundBytes += bytes
-			if maxPer > maxWorkerBytes {
-				maxWorkerBytes = maxPer
-			}
+			shuffled = true
+			bytes += total
+			maxPer = max(maxPer, per)
 			continue
 		}
-		st.Add(c.runStmtOn(c.driver, s, c.driverSinkFor(s.LHS)))
+		st.Add(runStmtOnNode(c.driver, c.schemas, s, c.driverSinkFor(s.LHS)))
 	}
-	c.Stats.Add(st)
-	compute := c.computeTime(st.Lookups+st.Scans+st.Emits, time.Since(computeStart))
-	m.Latency += compute
-	m.ComputeMax += compute
-	m.ComputeSum += compute
-	if rounds > 0 {
-		shuffle := c.cfg.NetLatency +
-			time.Duration(float64(maxWorkerBytes)/c.cfg.BandwidthBytesPerSec*float64(time.Second))
-		m.Latency += shuffle
-		m.ShuffledBytes += roundBytes
-		if maxWorkerBytes > m.MaxWorkerShuffleBytes {
-			m.MaxWorkerShuffleBytes = maxWorkerBytes
-		}
-	}
+	c.stats.Add(st)
+	c.chargeLocal(m, c.computeTime(st, time.Since(start)), shuffled, bytes, maxPer)
 	return nil
 }
 
 // runDistBlock executes one stage: every worker runs the block's
-// statements over its fragments on its own goroutine, with a WaitGroup
-// barrier closing the stage (the platform's synchronous-round model).
-// Worker state is shared-nothing, and all schema registration happens in
-// prepareStmts before the fan-out, so the workers race on nothing; results
-// are bit-identical to sequential execution because each worker's own
+// statements over its fragments concurrently, with a barrier closing the
+// stage (the platform's synchronous-round model). Worker state is
+// shared-nothing, and all schema registration happens in prepareStmts
+// before the fan-out, so the workers race on nothing; results are
+// bit-identical to sequential execution because each worker's own
 // statement order is unchanged and per-worker outcomes are merged in
-// worker-index order after the barrier. Stage latency is the scheduling
-// overhead plus the slowest worker's compute (with optional straggler
-// inflation); the per-worker measured wall time feeds the virtual cost
-// model when modeled compute is disabled.
-func (c *Cluster) runDistBlock(b dist.Block, m *Metrics) {
-	c.prepareStmts(b.Stmts)
-	computes := make([]time.Duration, len(c.workers))
-	stats := make([]eval.Stats, len(c.workers))
-	// Worker-side delta capture: for every watched view maintained on
-	// the workers that this stage writes, every worker folds its own
-	// changes into a private per-view sink; the sinks merge into the
-	// batch delta strictly in worker-index order after the barrier, so
-	// each view's gathered delta is deterministic despite concurrent
-	// workers. The map is read-only once the fan-out starts.
-	var sinks map[string][]*mring.Relation
+// worker-index order after the barrier.
+func (c *Cluster) runDistBlock(b dist.Block, m *Metrics) error {
+	prepareStmts(c.schemas, b.Stmts)
+	// Worker-side delta capture: every worker folds its changes to each
+	// watched worker-maintained view this stage writes into a private
+	// sink; the sinks merge into the batch delta strictly in worker-index
+	// order after the barrier, so each view's gathered delta is
+	// deterministic despite concurrent workers.
+	var watch []string
 	for name := range c.watch {
 		if c.watchDriverSide(name) {
 			continue
 		}
 		for _, s := range b.Stmts {
 			if s.LHS == name {
-				if sinks == nil {
-					sinks = make(map[string][]*mring.Relation, 1)
-				}
-				ws := make([]*mring.Relation, len(c.workers))
-				for i := range ws {
-					ws[i] = mring.NewRelation(c.schemas[name])
-				}
-				sinks[name] = ws
+				watch = append(watch, name)
 				break
 			}
 		}
 	}
-	// In measured-time mode (ComputeNsPerOp == 0) bound the in-flight
-	// workers to the CPU count, with the clock started only once a slot is
-	// held: each worker's wall time then approximates its own compute
-	// rather than scheduler queueing behind the other simulated workers.
-	var sem chan struct{}
-	if c.cfg.ComputeNsPerOp <= 0 {
-		sem = make(chan struct{}, runtime.GOMAXPROCS(0))
+	res := make([]blockResult, len(c.workers))
+	start := time.Now()
+	if err := c.each(true, func(i int, w worker) error {
+		var err error
+		res[i], err = w.runBlock(b.Stmts, c.schemas, watch)
+		return err
+	}); err != nil {
+		return err
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(c.workers))
-	for i, w := range c.workers {
-		go func(i int, w *node) {
-			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
-			start := time.Now()
-			var st eval.Stats
-			for _, s := range b.Stmts {
-				var sink *mring.Relation
-				if ws := sinks[s.LHS]; ws != nil {
-					sink = ws[i]
-				}
-				st.Add(c.runStmtOn(w, s, sink))
-			}
-			stats[i] = st
-			computes[i] = c.computeTime(st.Lookups+st.Scans+st.Emits, time.Since(start))
-		}(i, w)
-	}
-	wg.Wait()
-	for name, ws := range sinks {
+	wall := time.Since(start)
+	for _, name := range watch {
 		dst := c.watch[name]
-		for i := range c.workers {
-			dst.Merge(ws[i])
+		for i := range res {
+			if s := res[i].sinks[name]; s != nil {
+				dst.Merge(s)
+			}
 		}
 	}
-	var maxCompute, sumCompute time.Duration
-	for i := range c.workers {
-		c.Stats.Add(stats[i])
-		c.workerCompute[i] += computes[i]
-		c.workerStages[i]++
-		sumCompute += computes[i]
-		if computes[i] > maxCompute {
-			maxCompute = computes[i]
-		}
+	computes := make([]time.Duration, len(res))
+	for i := range res {
+		c.stats.Add(res[i].stats)
+		computes[i] = c.computeTime(res[i].stats, res[i].compute)
 	}
-	if c.cfg.StragglerProb > 0 && c.rng.Float64() < c.cfg.StragglerProb {
-		maxCompute = time.Duration(float64(maxCompute) * c.cfg.StragglerFactor)
-	}
-	sched := c.cfg.SchedBase + time.Duration(c.cfg.Workers)*c.cfg.SchedPerWorker
-	m.Latency += sched + maxCompute
-	m.ComputeMax += maxCompute
-	m.ComputeSum += sumCompute
+	c.chargeStage(m, computes, wall)
+	return nil
 }
 
-func (c *Cluster) computeTime(ops int64, measured time.Duration) time.Duration {
-	if c.cfg.ComputeNsPerOp > 0 {
-		return time.Duration(float64(ops) * c.cfg.ComputeNsPerOp)
+// computeTime is one node's charged compute for a block: evaluation
+// operations times the modeled per-op cost, or the measured time when
+// compute is not modeled.
+func (c *Cluster) computeTime(st eval.Stats, measured time.Duration) time.Duration {
+	if c.cfg != nil && c.cfg.ComputeNsPerOp > 0 {
+		return time.Duration(float64(st.Lookups+st.Scans+st.Emits) * c.cfg.ComputeNsPerOp)
 	}
 	return measured
 }
 
-// runStmtOn evaluates a compute statement against one node's state and
-// returns the evaluation statistics. It only reads shared cluster state
-// (prepareStmts resolved all schemas beforehand) and mutates nothing but
-// the node's own fragments (and the caller-private sink), so concurrent
-// calls on distinct nodes are race-free.
-func (c *Cluster) runStmtOn(n *node, s dist.Stmt, sink *mring.Relation) eval.Stats {
-	return runStmtOnNode(n, c.schemas, s, sink)
-}
-
-// runStmtOnNode is runStmtOn over explicit node and schema state — the
-// same evaluation a process-cluster shard runs remotely, so both cluster
-// forms mutate fragments through one code path.
-func runStmtOnNode(n *node, schemas map[string]mring.Schema, s dist.Stmt, sink *mring.Relation) eval.Stats {
-	env := eval.NewEnv()
-	// Bind every relation the statement reads; lazily create fragments.
-	walkRefs(s.RHS, func(r *expr.Rel) {
-		name := eval.RelEnvName(r)
-		env.Bind(name, n.rel(name, schemas[name]))
-	})
-	target := n.rel(s.LHS, schemas[s.LHS])
-	ctx := eval.NewCtx(env)
-	if sink != nil {
-		ctx.CaptureFolds(target, sink)
+// chargeLocal accounts one driver block: its compute, plus, when it
+// shuffled, the round's bytes and — under the cost model — the round's
+// network latency and transfer time of the largest per-worker payload.
+func (c *Cluster) chargeLocal(m *Metrics, compute time.Duration, shuffled bool, bytes, maxPer int64) {
+	m.Latency += compute
+	m.ComputeMax += compute
+	m.ComputeSum += compute
+	if !shuffled {
+		return
 	}
-	// FoldStmt runs aggregate statements (pre-aggregations and view
-	// maintenance) through a per-worker hash-native group table over the
-	// node's own fragments; the tables stay worker-local here and meet
-	// only in applyXform's gather, in worker-index order.
-	ctx.FoldStmt(target, s.Op, s.RHS)
-	return ctx.Stats
+	m.ShuffledBytes += bytes
+	m.MaxWorkerShuffleBytes = max(m.MaxWorkerShuffleBytes, maxPer)
+	if c.cfg != nil {
+		m.Latency += c.cfg.NetLatency +
+			time.Duration(float64(maxPer)/c.cfg.BandwidthBytesPerSec*float64(time.Second))
+	}
 }
 
-// captureReplace folds an OpSet-style replacement of a watched view copy
+// chargeStage accounts one stage from its per-worker compute: under the
+// cost model the stage takes the scheduling overhead plus the slowest
+// worker (optionally straggler-inflated); without it, the measured wall
+// time of the barrier.
+func (c *Cluster) chargeStage(m *Metrics, computes []time.Duration, wall time.Duration) {
+	var maxCompute, sumCompute time.Duration
+	for i, d := range computes {
+		c.workerCompute[i] += d
+		c.workerStages[i]++
+		sumCompute += d
+		maxCompute = max(maxCompute, d)
+	}
+	if c.cfg == nil {
+		m.Latency += wall
+	} else {
+		if c.cfg.StragglerProb > 0 && c.rng.Float64() < c.cfg.StragglerProb {
+			maxCompute = time.Duration(float64(maxCompute) * c.cfg.StragglerFactor)
+		}
+		m.Latency += c.cfg.SchedBase + time.Duration(c.cfg.Workers)*c.cfg.SchedPerWorker + maxCompute
+	}
+	m.ComputeMax += maxCompute
+	m.ComputeSum += sumCompute
+}
+
+// captureReplace folds a captured replacement of a watched view copy
 // (old contents swapped for cur) into that view's batch delta.
-func (c *Cluster) captureReplace(name string, old, cur *mring.Relation) {
+func (c *Cluster) captureReplace(name string, rep replaced) {
 	d := c.watch[name]
-	d.Merge(cur)
-	d.MergeScaled(old, -1)
+	if rep.cur != nil {
+		d.Merge(rep.cur)
+	}
+	if rep.old != nil {
+		d.MergeScaled(rep.old, -1)
+	}
 }
 
 // applyXform performs the data movement of one transformer statement and
-// returns (total bytes moved, max per-worker bytes). A transformer whose
-// target is the watched view (the re-evaluation policy's `Q := ...`
-// installs) contributes its replacement diff to the batch delta: at the
-// driver for a gathered local view, per worker — iterated in index
-// order — for scattered/repartitioned distributed views. Broadcast
-// installs of replicated views are not captured here: the driver mirror
-// fold already recorded the identical delta.
+// returns (total bytes moved, max per-worker bytes). Bytes are each
+// shipped fragment's size in the columnar wire format, computed on the
+// driver for either worker kind. A transformer whose target is the
+// watched view (the re-evaluation policy's `Q := ...` installs)
+// contributes its replacement diff to the batch delta: at the driver for
+// a gathered local view, per worker — merged in index order — for
+// scattered/repartitioned distributed views. Broadcast installs of
+// replicated views are not captured here: the driver mirror fold already
+// recorded the identical delta.
 func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 	src, ok := x.Body.(*expr.Rel)
 	if !ok {
 		return 0, 0, fmt.Errorf("cluster: transformer body is not a view reference: %s", x)
 	}
 	srcName := eval.RelEnvName(src)
-	srcSchema := c.schemaOf(srcName, src.Cols)
-	lhsSchema := c.schemaOf(lhs, srcSchema)
+	srcSchema := schemaOfIn(c.schemas, srcName, src.Cols)
+	lhsSchema := schemaOfIn(c.schemas, lhs, srcSchema)
 	keyPos := make([]int, len(x.Key))
 	for i, k := range x.Key {
 		p := src.Cols.Index(k)
@@ -679,91 +732,83 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 		}
 		keyPos[i] = p
 	}
-
+	n := len(c.workers)
 	captureWorkers := c.watch[lhs] != nil && !c.watchDriverSide(lhs)
+	reps := make([]replaced, n)
 	var total, maxPer int64
 	switch x.Kind {
 	case dist.XScatter:
 		srcRel := c.driver.rel(srcName, srcSchema)
+		frags := make([]*mring.Relation, n)
+		batches := make([]*pool.ColBatch, n)
 		if len(x.Key) == 0 {
-			// Broadcast: encode once, install the columnar payload on every
-			// worker. The decoded batch IS the replica's mirror, so the
+			// Broadcast: encode once and install the same columnar batch on
+			// every worker. The batch IS each replica's mirror, so the
 			// workers hold the fragment columnar from the start — kernel
 			// scans and later re-encodes reuse it with no conversion.
-			payload := encodeSize(srcRel)
-			fb := fragmentBatch(srcRel)
-			for _, w := range c.workers {
-				dst := w.rel(lhs, lhsSchema)
-				dst.Clear()
-				installFragment(dst, srcRel, fb)
-				total += payload
+			sz, fb := encodeSize(srcRel), fragmentBatch(srcRel)
+			for i := range frags {
+				frags[i], batches[i] = srcRel, fb
 			}
-			maxPer = payload
-			return total, maxPer, nil
-		}
-		frags := c.partition(srcRel, keyPos)
-		for i, w := range c.workers {
-			dst := w.rel(lhs, lhsSchema)
-			var old *mring.Relation
-			if captureWorkers {
-				old = dst.Clone()
-			}
-			dst.Clear()
-			if frags[i] != nil {
-				sz := encodeSize(frags[i])
-				installFragment(dst, frags[i], fragmentBatch(frags[i]))
-				total += sz
-				if sz > maxPer {
-					maxPer = sz
+			total, maxPer = sz*int64(n), sz
+		} else {
+			frags = dist.SplitByKey(srcRel, keyPos, n)
+			for i, f := range frags {
+				if f == nil {
+					continue
 				}
-			}
-			if captureWorkers {
-				c.captureReplace(lhs, old, dst)
+				sz := encodeSize(f)
+				batches[i] = fragmentBatch(f)
+				total += sz
+				maxPer = max(maxPer, sz)
 			}
 		}
-		return total, maxPer, nil
+		if err := c.each(false, func(i int, w worker) error {
+			var err error
+			reps[i], err = w.installScatter(lhs, lhsSchema, frags[i], batches[i], captureWorkers)
+			return err
+		}); err != nil {
+			return 0, 0, err
+		}
 	case dist.XRepart:
-		// Exchange: each worker partitions its fragment; receivers merge.
-		incoming := make([]*mring.Relation, len(c.workers))
-		var sent = make([]int64, len(c.workers))
-		for wi, w := range c.workers {
-			frag := w.rel(srcName, srcSchema)
-			frags := c.partition(frag, keyPos)
-			for ti, f := range frags {
+		// Exchange, two phases: every worker splits its fragment by key;
+		// then every receiver rebuilds its fragment from the senders'
+		// pieces in worker-index order. Local pieces do not cross the
+		// network.
+		out := make([][]*mring.Relation, n) // out[sender][receiver]
+		if err := c.each(false, func(i int, w worker) error {
+			var err error
+			out[i], err = w.partitionOut(srcName, srcSchema, keyPos)
+			return err
+		}); err != nil {
+			return 0, 0, err
+		}
+		in := make([][]*mring.Relation, n) // in[receiver], senders in order
+		for wi, pieces := range out {
+			if len(pieces) != n {
+				return 0, 0, fmt.Errorf("cluster: worker %d returned %d exchange pieces for %d workers", wi, len(pieces), n)
+			}
+			var sent int64
+			for ti, f := range pieces {
 				if f == nil || f.Len() == 0 {
 					continue
 				}
-				if ti != wi { // local data does not cross the network
+				if ti != wi {
 					sz := encodeSize(f)
 					total += sz
-					sent[wi] += sz
+					sent += sz
 				}
-				if incoming[ti] == nil {
-					incoming[ti] = mring.NewRelation(srcSchema)
-				}
-				incoming[ti].Merge(f)
+				in[ti] = append(in[ti], f)
 			}
+			maxPer = max(maxPer, sent)
 		}
-		for _, s := range sent {
-			if s > maxPer {
-				maxPer = s
-			}
+		if err := c.each(false, func(i int, w worker) error {
+			var err error
+			reps[i], err = w.installRepart(lhs, srcSchema, lhsSchema, in[i], captureWorkers)
+			return err
+		}); err != nil {
+			return 0, 0, err
 		}
-		for i, w := range c.workers {
-			dst := w.rel(lhs, lhsSchema)
-			var old *mring.Relation
-			if captureWorkers {
-				old = dst.Clone()
-			}
-			dst.Clear()
-			if incoming[i] != nil {
-				dst.Merge(incoming[i])
-			}
-			if captureWorkers {
-				c.captureReplace(lhs, old, dst)
-			}
-		}
-		return total, maxPer, nil
 	default: // Gather
 		// The workers' pre-aggregated fragments merge into one group
 		// table strictly in worker-index order, so the driver replays the
@@ -771,18 +816,19 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 		// gathered result is deterministic despite the workers having
 		// computed their fragments concurrently. The table then
 		// blind-fills the driver view with its stored hashes.
+		frags, err := c.fetchAll(srcName)
+		if err != nil {
+			return 0, 0, err
+		}
 		gt := mring.NewGroupTable(srcSchema)
-		for _, w := range c.workers {
-			frag := w.rel(srcName, srcSchema)
-			if frag.Len() == 0 {
+		for _, f := range frags {
+			if f == nil || f.Len() == 0 {
 				continue
 			}
-			sz := encodeSize(frag)
+			sz := encodeSize(f)
 			total += sz
-			if sz > maxPer {
-				maxPer = sz
-			}
-			gt.MergeRelation(frag)
+			maxPer = max(maxPer, sz)
+			gt.MergeRelation(f)
 		}
 		dst := c.driver.rel(lhs, lhsSchema)
 		var old *mring.Relation
@@ -792,15 +838,28 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 		dst.Clear()
 		gt.FillRelation(dst)
 		if old != nil {
-			c.captureReplace(lhs, old, dst)
+			c.captureReplace(lhs, replaced{old: old, cur: dst})
 		}
 		return total, maxPer, nil
 	}
+	if captureWorkers {
+		for _, rep := range reps {
+			c.captureReplace(lhs, rep)
+		}
+	}
+	return total, maxPer, nil
 }
 
-// partition splits a relation into per-worker fragments by key hash.
-func (c *Cluster) partition(r *mring.Relation, keyPos []int) []*mring.Relation {
-	return dist.SplitByKey(r, keyPos, len(c.workers))
+// fetchAll returns every worker's fragment of a relation in index order
+// (nil where absent).
+func (c *Cluster) fetchAll(name string) ([]*mring.Relation, error) {
+	frags := make([]*mring.Relation, len(c.workers))
+	err := c.each(false, func(i int, w worker) error {
+		var err error
+		frags[i], err = w.fetch(name)
+		return err
+	})
+	return frags, err
 }
 
 // encodeSize serializes through the columnar wire format and returns the
@@ -827,76 +886,52 @@ func fragmentBatch(r *mring.Relation) *pool.ColBatch {
 	return nil
 }
 
-// installFragment fills the just-cleared dst with the shipped fragment.
-// With a columnar payload the rows merge straight from the batch and the
-// batch becomes dst's mirror (the receiver keeps the fragment columnar);
-// otherwise the rows merge from the source relation as before. Either way
-// rows land in the source's Foreach order, so dst's storage is bitwise
-// independent of which path ran.
-func installFragment(dst, src *mring.Relation, batch *pool.ColBatch) {
-	if batch == nil {
-		dst.Merge(src)
-		return
-	}
-	batch.MergeInto(dst)
-	if dst.Len() == batch.Len() {
-		pool.AttachMirror(dst, batch)
-	}
-}
-
-// walkRefs visits every relational reference in an expression (descending
-// into transformer bodies, though compute statements carry none).
-func walkRefs(e expr.Expr, f func(*expr.Rel)) {
-	switch x := e.(type) {
-	case *dist.Xform:
-		walkRefs(x.Body, f)
-	case *expr.Rel:
-		f(x)
-	case *expr.Plus:
-		for _, t := range x.Terms {
-			walkRefs(t, f)
-		}
-	case *expr.Mul:
-		for _, t := range x.Factors {
-			walkRefs(t, f)
-		}
-	case *expr.Agg:
-		walkRefs(x.Body, f)
-	case *expr.Assign:
-		if x.Q != nil {
-			walkRefs(x.Q, f)
-		}
-	case *expr.Exists:
-		walkRefs(x.Body, f)
-	}
-}
-
 // ViewContents reconstructs the full logical contents of a view by
-// merging the driver copy and all worker fragments (for verification and
-// result reads).
+// merging the driver copy and the worker fragments. The result is shared
+// with the poisoned-read cache, so callers must not mutate it. A
+// poisoned cluster serves the view as of its last healthy read plus the
+// deltas committed since, so readers never observe a partially applied
+// transaction.
 func (c *Cluster) ViewContents(name string) *mring.Relation {
-	schema := c.schemas[name]
-	out := mring.NewRelation(schema)
+	if c.err == nil {
+		out, err := c.viewContents(name)
+		if err == nil {
+			c.committed[name] = out
+			delete(c.since, name)
+			return out
+		}
+		c.fail(err)
+	}
+	out := mring.NewRelation(c.schemas[name])
+	if r := c.committed[name]; r != nil {
+		out.Merge(r)
+		if d := c.since[name]; d != nil {
+			out.Merge(d)
+		}
+	}
+	return out
+}
+
+func (c *Cluster) viewContents(name string) (*mring.Relation, error) {
+	out := mring.NewRelation(c.schemas[name])
 	loc, ok := c.parts[name]
 	if ok && loc.Kind == dist.LLocal {
 		if r := c.driver.rels[name]; r != nil {
 			out.Merge(r)
 		}
-		return out
+		return out, nil
 	}
-	if loc.Kind == dist.LIndiff {
-		// Replicated: any single copy is the contents.
-		for _, w := range c.workers {
-			if r := w.rels[name]; r != nil {
-				out.Merge(r)
-				return out
-			}
+	frags, err := c.fetchAll(name)
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range frags {
+		if f == nil {
+			continue
 		}
-		return out
-	}
-	for _, w := range c.workers {
-		if r := w.rels[name]; r != nil {
-			out.Merge(r)
+		out.Merge(f)
+		if loc.Kind == dist.LIndiff {
+			return out, nil // replicated: the first copy is the contents
 		}
 	}
 	if !ok {
@@ -904,5 +939,5 @@ func (c *Cluster) ViewContents(name string) *mring.Relation {
 			out.Merge(r)
 		}
 	}
-	return out
+	return out, nil
 }

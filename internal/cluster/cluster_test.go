@@ -9,6 +9,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/expr"
 	"repro/internal/mring"
+	inet "repro/internal/net"
 )
 
 func tup(vs ...int) mring.Tuple {
@@ -19,29 +20,59 @@ func tup(vs ...int) mring.Tuple {
 	return t
 }
 
-// buildDeployment compiles a query locally and distributes it at the
-// given level with the given partitioning.
-func buildDeployment(t *testing.T, name string, q expr.Expr, bases map[string]mring.Schema,
-	parts dist.PartInfo, level dist.OptLevel, workers int) (*compile.Program, map[string]*dist.DistProgram, *Cluster) {
+// maker builds a cluster driver over one kind of worker.
+type maker func(workers int, schemas map[string]mring.Schema, parts dist.PartInfo) *Cluster
+
+// forEachKind runs f once per worker kind: in-process shards (New) and
+// worker servers on loopback TCP (Connect). The driver is the same, so
+// every driver test holds for both.
+func forEachKind(t *testing.T, f func(t *testing.T, mk maker)) {
+	t.Run("local", func(t *testing.T) {
+		f(t, func(workers int, schemas map[string]mring.Schema, parts dist.PartInfo) *Cluster {
+			return New(DefaultConfig(workers), schemas, parts)
+		})
+	})
+	t.Run("remote", func(t *testing.T) {
+		f(t, func(workers int, schemas map[string]mring.Schema, parts dist.PartInfo) *Cluster {
+			return connectLoopback(t, workers, schemas, parts)
+		})
+	})
+}
+
+// connectLoopback starts workers worker servers on loopback TCP and
+// connects a driver to them; both stop at test cleanup.
+func connectLoopback(t *testing.T, workers int, schemas map[string]mring.Schema, parts dist.PartInfo) *Cluster {
+	t.Helper()
+	addrs := make([]string, workers)
+	for i := range addrs {
+		srv, err := ListenAndServeWorker(inet.TCP{}, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = srv.Addr()
+	}
+	cl, err := Connect(inet.TCP{}, addrs, schemas, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// checkDistributedMatchesLocal streams random batches through both the
+// local executor and the cluster and compares the top view after every
+// batch.
+func checkDistributedMatchesLocal(t *testing.T, mk maker, name string, q expr.Expr,
+	bases map[string]mring.Schema, parts dist.PartInfo, level dist.OptLevel,
+	workers, nBatches, batchSize int, seed int64) {
 	t.Helper()
 	prog, err := compile.Compile(name, q, bases, compile.Options{DomainExtraction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dprogs := dist.CompileProgram(prog, parts, level)
-	cfg := DefaultConfig(workers)
-	cl := New(cfg, dist.ViewSchemas(prog), parts)
-	return prog, dprogs, cl
-}
-
-// checkDistributedMatchesLocal streams random batches through both the
-// local executor and the cluster and compares the top view after every
-// batch.
-func checkDistributedMatchesLocal(t *testing.T, name string, q expr.Expr,
-	bases map[string]mring.Schema, parts dist.PartInfo, level dist.OptLevel,
-	workers, nBatches, batchSize int, seed int64) {
-	t.Helper()
-	prog, dprogs, cl := buildDeployment(t, name, q, bases, parts, level, workers)
+	cl := mk(workers, dist.ViewSchemas(prog), parts)
 	local := compile.NewExecutor(prog)
 	rng := rand.New(rand.NewSource(seed))
 	var relNames []string
@@ -109,12 +140,14 @@ func TestDistributedTriJoinAllLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, topLocal := range []bool{true, false} {
-		parts := partitionAll(prog, topLocal)
-		for _, level := range []dist.OptLevel{dist.O0, dist.O1, dist.O2, dist.O3} {
-			checkDistributedMatchesLocal(t, "Q", q, bases, parts, level, 4, 8, 6, int64(10+int(level)))
+	forEachKind(t, func(t *testing.T, mk maker) {
+		for _, topLocal := range []bool{true, false} {
+			parts := partitionAll(prog, topLocal)
+			for _, level := range []dist.OptLevel{dist.O0, dist.O1, dist.O2, dist.O3} {
+				checkDistributedMatchesLocal(t, mk, "Q", q, bases, parts, level, 4, 8, 6, int64(10+int(level)))
+			}
 		}
-	}
+	})
 }
 
 func TestDistributedScalarAggregate(t *testing.T) {
@@ -129,7 +162,9 @@ func TestDistributedScalarAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts := partitionAll(prog, true)
-	checkDistributedMatchesLocal(t, "Q6", q, bases, parts, dist.O3, 8, 6, 10, 99)
+	forEachKind(t, func(t *testing.T, mk maker) {
+		checkDistributedMatchesLocal(t, mk, "Q6", q, bases, parts, dist.O3, 8, 6, 10, 99)
+	})
 }
 
 func TestDistributedNestedCorrelated(t *testing.T) {
@@ -164,9 +199,11 @@ func TestDistributedNestedCorrelated(t *testing.T) {
 	for rel := range bases {
 		parts[eval.DeltaName(rel)] = dist.Local
 	}
-	for _, level := range []dist.OptLevel{dist.O0, dist.O3} {
-		checkDistributedMatchesLocal(t, "Q17", q, bases, parts, level, 4, 8, 5, 7)
-	}
+	forEachKind(t, func(t *testing.T, mk maker) {
+		for _, level := range []dist.OptLevel{dist.O0, dist.O3} {
+			checkDistributedMatchesLocal(t, mk, "Q17", q, bases, parts, level, 4, 8, 5, 7)
+		}
+	})
 }
 
 func TestRunPartitionedIngest(t *testing.T) {
@@ -181,28 +218,30 @@ func TestRunPartitionedIngest(t *testing.T) {
 	parts[eval.DeltaName("L")] = dist.Random
 	dprogs := dist.CompileProgram(prog, parts, dist.O3)
 	workers := 4
-	cl := New(DefaultConfig(workers), dist.ViewSchemas(prog), parts)
-	local := compile.NewExecutor(prog)
-	rng := rand.New(rand.NewSource(5))
-	for b := 0; b < 5; b++ {
-		full := mring.NewRelation(bases["L"])
-		frags := make([]*mring.Relation, workers)
-		for i := range frags {
-			frags[i] = mring.NewRelation(bases["L"])
+	forEachKind(t, func(t *testing.T, mk maker) {
+		cl := mk(workers, dist.ViewSchemas(prog), parts)
+		local := compile.NewExecutor(prog)
+		rng := rand.New(rand.NewSource(5))
+		for b := 0; b < 5; b++ {
+			full := mring.NewRelation(bases["L"])
+			frags := make([]*mring.Relation, workers)
+			for i := range frags {
+				frags[i] = mring.NewRelation(bases["L"])
+			}
+			for i := 0; i < 40; i++ {
+				tp := tup(rng.Intn(6), rng.Intn(10))
+				full.Add(tp, 1)
+				frags[rng.Intn(workers)].Add(tp, 1)
+			}
+			local.ApplyBatch("L", full)
+			if _, err := cl.RunPartitioned(dprogs["L"], frags); err != nil {
+				t.Fatalf("batch %d: %v\n%s", b, err, dprogs["L"])
+			}
+			if got, want := cl.ViewContents("QP"), local.Result(); !got.EqualApprox(want, 1e-6) {
+				t.Fatalf("batch %d diverged: got %v want %v\n%s", b, got, want, dprogs["L"])
+			}
 		}
-		for i := 0; i < 40; i++ {
-			tp := tup(rng.Intn(6), rng.Intn(10))
-			full.Add(tp, 1)
-			frags[rng.Intn(workers)].Add(tp, 1)
-		}
-		local.ApplyBatch("L", full)
-		if _, err := cl.RunPartitioned(dprogs["L"], frags); err != nil {
-			t.Fatalf("batch %d: %v\n%s", b, err, dprogs["L"])
-		}
-		if got, want := cl.ViewContents("QP"), local.Result(); !got.EqualApprox(want, 1e-6) {
-			t.Fatalf("batch %d diverged: got %v want %v\n%s", b, got, want, dprogs["L"])
-		}
-	}
+	})
 }
 
 func TestMetricsShape(t *testing.T) {
@@ -253,6 +292,16 @@ func TestMetricsAdd(t *testing.T) {
 	}
 }
 
+// fragmentOf returns worker i's fragment of a relation (nil when absent).
+func fragmentOf(t *testing.T, cl *Cluster, i int, name string) *mring.Relation {
+	t.Helper()
+	r, err := cl.workers[i].fetch(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestStateNotSharedAcrossWorkers(t *testing.T) {
 	// A Dist view's fragments must be disjoint: total = sum of fragments,
 	// and no tuple may appear on two workers.
@@ -264,28 +313,30 @@ func TestStateNotSharedAcrossWorkers(t *testing.T) {
 	}
 	parts := partitionAll(prog, false) // top view distributed by B
 	dprogs := dist.CompileProgram(prog, parts, dist.O3)
-	cl := New(DefaultConfig(4), dist.ViewSchemas(prog), parts)
-	batch := mring.NewRelation(bases["R"])
-	for i := 0; i < 60; i++ {
-		batch.Add(tup(i, i%7), 1)
-	}
-	if _, err := cl.Run(dprogs["R"], batch); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]int{}
-	for wi, w := range cl.workers {
-		if r := w.rels["QV"]; r != nil {
-			r.Foreach(func(tp mring.Tuple, _ float64) {
-				if prev, ok := seen[tp.Key()]; ok {
-					t.Fatalf("tuple %v on workers %d and %d", tp, prev, wi)
-				}
-				seen[tp.Key()] = wi
-			})
+	forEachKind(t, func(t *testing.T, mk maker) {
+		cl := mk(4, dist.ViewSchemas(prog), parts)
+		batch := mring.NewRelation(bases["R"])
+		for i := 0; i < 60; i++ {
+			batch.Add(tup(i, i%7), 1)
 		}
-	}
-	if len(seen) != 7 {
-		t.Fatalf("expected 7 groups across workers, got %d", len(seen))
-	}
+		if _, err := cl.Run(dprogs["R"], batch); err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]int{}
+		for wi := range cl.workers {
+			if r := fragmentOf(t, cl, wi, "QV"); r != nil {
+				r.Foreach(func(tp mring.Tuple, _ float64) {
+					if prev, ok := seen[tp.Key()]; ok {
+						t.Fatalf("tuple %v on workers %d and %d", tp, prev, wi)
+					}
+					seen[tp.Key()] = wi
+				})
+			}
+		}
+		if len(seen) != 7 {
+			t.Fatalf("expected 7 groups across workers, got %d", len(seen))
+		}
+	})
 }
 
 func TestCheckpointRestoreAfterFailure(t *testing.T) {
@@ -299,9 +350,6 @@ func TestCheckpointRestoreAfterFailure(t *testing.T) {
 	}
 	parts := partitionAll(prog, false)
 	dprogs := dist.CompileProgram(prog, parts, dist.O3)
-	cl := New(DefaultConfig(4), dist.ViewSchemas(prog), parts)
-	local := compile.NewExecutor(prog)
-
 	mkBatch := func(lo int) *mring.Relation {
 		b := mring.NewRelation(bases["R"])
 		for i := 0; i < 30; i++ {
@@ -309,89 +357,110 @@ func TestCheckpointRestoreAfterFailure(t *testing.T) {
 		}
 		return b
 	}
-	for i := 0; i < 3; i++ {
-		b := mkBatch(i * 30)
+	forEachKind(t, func(t *testing.T, mk maker) {
+		cl := mk(4, dist.ViewSchemas(prog), parts)
+		local := compile.NewExecutor(prog)
+		for i := 0; i < 3; i++ {
+			b := mkBatch(i * 30)
+			local.ApplyBatch("R", b.Clone())
+			if _, err := cl.Run(dprogs["R"], b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cp, err := cl.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.Bytes == 0 {
+			t.Fatal("checkpoint should capture state")
+		}
+		// Checkpoint cost is modeled, so only a cost-model cluster has one.
+		if cl.cfg != nil && cl.CheckpointCost(cp) <= 0 {
+			t.Fatal("checkpoint cost should be positive")
+		}
+		// Fail a worker that owns a fragment of the view: the distributed
+		// contents are now missing it. (Which workers own fragments depends
+		// on the tuple hash, so pick one that actually holds state.)
+		victim := -1
+		for i := range cl.workers {
+			if r := fragmentOf(t, cl, i, "QC"); r != nil && r.Len() > 0 {
+				victim = i
+				break
+			}
+		}
+		if victim < 0 {
+			t.Fatal("no worker holds a QC fragment")
+		}
+		if err := cl.KillWorker(victim); err != nil {
+			t.Fatal(err)
+		}
+		if cl.ViewContents("QC").EqualApprox(local.Result(), 1e-9) {
+			t.Fatal("state should be damaged after worker failure")
+		}
+		if err := cl.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		if !cl.ViewContents("QC").EqualApprox(local.Result(), 1e-9) {
+			t.Fatal("restore did not recover the pre-failure state")
+		}
+		// Processing continues correctly after recovery.
+		b := mkBatch(90)
 		local.ApplyBatch("R", b.Clone())
 		if _, err := cl.Run(dprogs["R"], b); err != nil {
 			t.Fatal(err)
 		}
-	}
-	cp := cl.Checkpoint()
-	if cp.Bytes == 0 {
-		t.Fatal("checkpoint should capture state")
-	}
-	if cl.CheckpointCost(cp) <= 0 {
-		t.Fatal("checkpoint cost should be positive")
-	}
-	// Fail a worker that owns a fragment of the view: the distributed
-	// contents are now missing it. (Which workers own fragments depends on
-	// the tuple hash, so pick one that actually holds state.)
-	victim := -1
-	for i, w := range cl.workers {
-		if r := w.rels["QC"]; r != nil && r.Len() > 0 {
-			victim = i
-			break
+		if !cl.ViewContents("QC").EqualApprox(local.Result(), 1e-9) {
+			t.Fatal("post-recovery processing diverged")
 		}
-	}
-	if victim < 0 {
-		t.Fatal("no worker holds a QC fragment")
-	}
-	cl.KillWorker(victim)
-	if cl.ViewContents("QC").EqualApprox(local.Result(), 1e-9) {
-		t.Fatal("state should be damaged after worker failure")
-	}
-	if err := cl.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	if !cl.ViewContents("QC").EqualApprox(local.Result(), 1e-9) {
-		t.Fatal("restore did not recover the pre-failure state")
-	}
-	// Processing continues correctly after recovery.
-	b := mkBatch(90)
-	local.ApplyBatch("R", b.Clone())
-	if _, err := cl.Run(dprogs["R"], b); err != nil {
-		t.Fatal(err)
-	}
-	if !cl.ViewContents("QC").EqualApprox(local.Result(), 1e-9) {
-		t.Fatal("post-recovery processing diverged")
-	}
+	})
 }
 
 func TestRestoreRejectsMismatchedWorkers(t *testing.T) {
 	q := expr.Sum(nil, expr.Base("R", "A"))
 	prog, _ := compile.Compile("QW", q, map[string]mring.Schema{"R": {"A"}}, compile.Options{})
 	parts := partitionAll(prog, true)
-	a := New(DefaultConfig(2), dist.ViewSchemas(prog), parts)
-	b := New(DefaultConfig(3), dist.ViewSchemas(prog), parts)
-	if err := b.Restore(a.Checkpoint()); err == nil {
-		t.Fatal("expected worker-count mismatch error")
-	}
+	forEachKind(t, func(t *testing.T, mk maker) {
+		a := mk(2, dist.ViewSchemas(prog), parts)
+		b := mk(3, dist.ViewSchemas(prog), parts)
+		cp, err := a.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Restore(cp); err == nil {
+			t.Fatal("expected worker-count mismatch error")
+		}
+	})
 }
 
 func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 	q := expr.Sum(nil, expr.Base("R", "A"))
 	prog, _ := compile.Compile("QX", q, map[string]mring.Schema{"R": {"A"}}, compile.Options{})
 	parts := partitionAll(prog, true)
-	cl := New(DefaultConfig(2), dist.ViewSchemas(prog), parts)
-	batch := mring.NewRelation(mring.Schema{"A"})
-	batch.Add(tup(1), 1)
 	dprogs := dist.CompileProgram(prog, parts, dist.O3)
-	if _, err := cl.Run(dprogs["R"], batch); err != nil {
-		t.Fatal(err)
-	}
-	cp := cl.Checkpoint()
-	for name, b := range cp.Driver {
-		b.Payload = b.Payload[:len(b.Payload)/2] // truncate
-		cp.Driver[name] = b
-	}
-	before := cl.ViewContents("QX").Get(mring.Tuple{})
-	if err := cl.Restore(cp); err == nil {
-		t.Fatal("expected corruption error")
-	}
-	// State must be untouched after a failed restore.
-	if cl.ViewContents("QX").Get(mring.Tuple{}) != before {
-		t.Fatal("failed restore mutated state")
-	}
+	forEachKind(t, func(t *testing.T, mk maker) {
+		cl := mk(2, dist.ViewSchemas(prog), parts)
+		batch := mring.NewRelation(mring.Schema{"A"})
+		batch.Add(tup(1), 1)
+		if _, err := cl.Run(dprogs["R"], batch); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := cl.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range cp.Driver {
+			b.Payload = b.Payload[:len(b.Payload)/2] // truncate
+			cp.Driver[name] = b
+		}
+		before := cl.ViewContents("QX").Get(mring.Tuple{})
+		if err := cl.Restore(cp); err == nil {
+			t.Fatal("expected corruption error")
+		}
+		// State must be untouched after a failed restore.
+		if cl.ViewContents("QX").Get(mring.Tuple{}) != before {
+			t.Fatal("failed restore mutated state")
+		}
+	})
 }
 
 func TestStragglerInflation(t *testing.T) {

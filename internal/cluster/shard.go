@@ -1,336 +1,276 @@
 package cluster
 
 import (
-	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/eval"
+	"repro/internal/expr"
 	"repro/internal/mring"
-	inet "repro/internal/net"
 	"repro/internal/pool"
 )
 
-// Shard is the worker side of the process cluster: one worker node's
-// fragments plus the request handlers that mutate them. Each handler
-// replays exactly the mutation sequence the simulated cluster's driver
-// would have applied to the same worker in-process, so the shard's
-// relation layouts — and therefore every downstream iteration order and
-// float fold — stay bitwise-identical to the in-process oracle.
+// worker is the driver's handle on one shard. The driver owns all
+// orchestration; a worker only mutates and reports its own fragments.
+// *Shard implements it in-process, called directly with fragments
+// passed by reference; *remote implements it over a framed connection
+// to a Shard in another process (proto.go). Relations handed to a
+// worker become the worker's; relations a worker returns are its live
+// fragments (in-process) or exact copies of them (remote), and the
+// driver only reads them.
+type worker interface {
+	// runBlock executes one distributed block's statements over the
+	// shard's fragments. Workers only read schemas, which the driver
+	// resolved before the stage. Watched views get private change sinks.
+	runBlock(stmts []dist.Stmt, schemas map[string]mring.Schema, watch []string) (blockResult, error)
+	// installScatter clears the target fragment and installs frag (nil
+	// installs nothing), merging from batch when the driver holds the
+	// fragment columnar.
+	installScatter(name string, schema mring.Schema, frag *mring.Relation, batch *pool.ColBatch, capture bool) (replaced, error)
+	// installRepart rebuilds the target fragment from the exchange
+	// pieces addressed to this shard, merged in sender-index order.
+	installRepart(name string, srcSchema, lhsSchema mring.Schema, pieces []*mring.Relation, capture bool) (replaced, error)
+	// installDelta replaces a relation with r (nil installs an empty one).
+	installDelta(name string, r *mring.Relation) error
+	// partitionOut splits the shard's fragment of src by key into one
+	// piece per destination worker (nil for empty pieces).
+	partitionOut(src string, schema mring.Schema, keyPos []int) ([]*mring.Relation, error)
+	// fetch returns the shard's fragment of a relation, nil when absent.
+	fetch(name string) (*mring.Relation, error)
+	// snapshot returns every restorable fragment, encoded layout-exact.
+	snapshot() (map[string]Frag, error)
+	// restore replaces the shard's entire state with rels.
+	restore(rels map[string]*mring.Relation) error
+	// drop deletes every relation not named in keep.
+	drop(keep map[string]bool) error
+	// relations visits the shard's fragments with names sorted. Remote
+	// fragments live in another process and are not visited.
+	relations(f func(name string, r *mring.Relation))
+	close() error
+}
+
+// blockResult is one worker's outcome of a distributed block.
+type blockResult struct {
+	stats   eval.Stats
+	compute time.Duration
+	// sinks holds each watched view's changes in the shard's fold order
+	// (empty sinks may be omitted: merging them is a no-op).
+	sinks map[string]*mring.Relation
+}
+
+// replaced carries a captured replacement install: the fragment after
+// (cur) and before (old) the install. Both nil without capture; either
+// may be nil when that side is empty.
+type replaced struct {
+	old, cur *mring.Relation
+}
+
+// node holds the relation fragments of one worker (or the driver).
+type node struct {
+	rels map[string]*mring.Relation
+}
+
+func newNode() *node { return &node{rels: make(map[string]*mring.Relation)} }
+
+func (n *node) rel(name string, schema mring.Schema) *mring.Relation {
+	r := n.rels[name]
+	if r == nil {
+		r = mring.NewRelation(schema)
+		n.rels[name] = r
+	}
+	return r
+}
+
+// Shard is one worker's fragments plus the operations that mutate them.
+// The driver calls an in-process Shard directly; a worker process runs
+// one Shard per driver connection behind Handle, which decodes each
+// request and calls the same methods. Either way the shard sees the
+// same mutation sequence with the same relation layouts, so results are
+// bitwise-identical across deployments.
 //
-// A shard serves one driver connection at a time; requests on that
-// connection are strictly sequential, so no handler needs locking.
+// Calls on one shard are strictly sequential; distinct shards share
+// nothing, so the driver may call them concurrently.
 type Shard struct {
-	index   int
+	// workers is the cluster's worker count (the exchange fan-out); zero
+	// until a remote shard receives the driver's setup request.
 	workers int
 	node    *node
-	schemas map[string]mring.Schema
 }
 
-// NewShard returns an empty shard awaiting opSetup.
-func NewShard() *Shard {
-	return &Shard{index: -1, node: newNode(), schemas: make(map[string]mring.Schema)}
-}
+// NewShard returns an empty shard awaiting the driver's setup request.
+func NewShard() *Shard { return newShard(0) }
 
-// Handle dispatches one protocol request and returns the response body.
-// Malformed or hostile requests return errors — handlers never panic on
-// bad input (payloads go through the hardened internal/net decoders).
-func (sh *Shard) Handle(op byte, body []byte) (any, error) {
-	switch op {
-	case opSetup:
-		var req setupReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		if req.Workers < 1 || req.Index < 0 || req.Index >= req.Workers {
-			return nil, fmt.Errorf("cluster: bad setup index %d of %d workers", req.Index, req.Workers)
-		}
-		sh.index, sh.workers = req.Index, req.Workers
-		return setupResp{}, nil
-	case opRunBlock:
-		var req runBlockReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.runBlock(&req)
-	case opInstallScatter:
-		var req installScatterReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.installScatter(&req)
-	case opInstallRepart:
-		var req installRepartReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.installRepart(&req)
-	case opInstallDelta:
-		var req installDeltaReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.installDelta(&req)
-	case opPartitionOut:
-		var req partitionOutReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.partitionOut(&req)
-	case opFetch:
-		var req fetchReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.fetch(&req)
-	case opSnapshot:
-		var req snapshotReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.snapshot()
-	case opRestore:
-		var req restoreReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.restore(&req)
-	default:
-		return nil, fmt.Errorf("cluster: unknown op %d", op)
-	}
-}
+func newShard(workers int) *Shard { return &Shard{workers: workers, node: newNode()} }
 
-func (sh *Shard) setup() error {
-	if sh.workers < 1 {
-		return fmt.Errorf("cluster: shard not set up")
-	}
-	return nil
-}
-
-// runBlock executes one distributed block's statements over the shard's
-// fragments — the remote form of the per-worker goroutine body in
-// runDistBlock, including the private change sinks for watched views.
-func (sh *Shard) runBlock(req *runBlockReq) (*runBlockResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
-	}
-	// The driver ships its schema map after prepareStmts; adopting it
-	// reproduces the oracle's invariant that workers only read schemas.
-	for name, s := range req.Schemas {
-		sh.schemas[name] = s
-	}
+func (sh *Shard) runBlock(stmts []dist.Stmt, schemas map[string]mring.Schema, watch []string) (blockResult, error) {
 	var sinks map[string]*mring.Relation
-	for _, name := range req.Watch {
-		s, ok := sh.schemas[name]
-		if !ok {
-			return nil, fmt.Errorf("cluster: watch of %q without schema", name)
-		}
+	for _, name := range watch {
 		if sinks == nil {
-			sinks = make(map[string]*mring.Relation, len(req.Watch))
+			sinks = make(map[string]*mring.Relation, len(watch))
 		}
-		sinks[name] = mring.NewRelation(s)
-	}
-	for _, s := range req.Stmts {
-		if _, ok := sh.schemas[s.LHS]; !ok {
-			return nil, fmt.Errorf("cluster: statement target %q without schema", s.LHS)
-		}
+		sinks[name] = mring.NewRelation(schemas[name])
 	}
 	start := time.Now()
 	var st eval.Stats
-	for _, s := range req.Stmts {
-		st.Add(runStmtOnNode(sh.node, sh.schemas, s, sinks[s.LHS]))
+	for _, s := range stmts {
+		st.Add(runStmtOnNode(sh.node, schemas, s, sinks[s.LHS]))
 	}
-	resp := &runBlockResp{Stats: st, ComputeNs: time.Since(start).Nanoseconds()}
-	for name, sink := range sinks {
-		if sink.Len() == 0 {
-			continue // merging an empty sink is a no-op on the driver
-		}
-		if resp.Sinks == nil {
-			resp.Sinks = make(map[string][]byte, len(sinks))
-		}
-		resp.Sinks[name] = inet.EncodeRelationPlain(sink)
-	}
-	return resp, nil
+	return blockResult{stats: st, compute: time.Since(start), sinks: sinks}, nil
 }
 
-// installScatter is the worker half of a scatter: clear the target
-// fragment, install the shipped payload, and (for watched keyed views)
-// return the replacement diff the driver folds into the batch delta.
-func (sh *Shard) installScatter(req *installScatterReq) (*installResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
-	}
-	sh.schemas[req.Name] = req.Schema
-	dst := sh.node.rel(req.Name, req.Schema)
+// replace clears the target fragment, refills it, and returns the
+// captured replacement when asked.
+func (sh *Shard) replace(name string, schema mring.Schema, capture bool, fill func(dst *mring.Relation)) replaced {
+	dst := sh.node.rel(name, schema)
 	var old *mring.Relation
-	if req.Capture {
+	if capture {
 		old = dst.Clone()
 	}
 	dst.Clear()
-	if len(req.Payload) > 0 {
-		p, err := inet.DecodePayload(req.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: scatter payload for %q: %w", req.Name, err)
-		}
-		installPayload(dst, p)
+	fill(dst)
+	if !capture {
+		return replaced{}
 	}
-	resp := &installResp{}
-	if req.Capture {
-		resp.Cur = inet.EncodeRelationPlain(dst)
-		resp.Old = inet.EncodeRelationPlain(old)
-	}
-	return resp, nil
+	return replaced{old: old, cur: dst}
 }
 
-// installRepart rebuilds the target fragment from the per-sender payloads
-// of an exchange, replaying the oracle's build: incoming accumulates the
-// senders' fragments in worker-index order, then replaces the target.
-func (sh *Shard) installRepart(req *installRepartReq) (*installResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
-	}
-	sh.schemas[req.Name] = req.LHSSchema
+func (sh *Shard) installScatter(name string, schema mring.Schema, frag *mring.Relation, batch *pool.ColBatch, capture bool) (replaced, error) {
+	return sh.replace(name, schema, capture, func(dst *mring.Relation) {
+		if frag != nil || batch != nil {
+			installFragment(dst, frag, batch)
+		}
+	}), nil
+}
+
+func (sh *Shard) installRepart(name string, srcSchema, lhsSchema mring.Schema, pieces []*mring.Relation, capture bool) (replaced, error) {
 	var incoming *mring.Relation
-	for _, pb := range req.Payloads {
-		if len(pb) == 0 {
-			continue // empty sender fragments are skipped, as in-process
-		}
-		p, err := inet.DecodePayload(pb)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: repart payload for %q: %w", req.Name, err)
-		}
+	for _, p := range pieces {
 		if incoming == nil {
-			incoming = mring.NewRelation(req.SrcSchema)
+			incoming = mring.NewRelation(srcSchema)
 		}
-		p.Foreach(incoming.Add)
+		incoming.Merge(p)
 	}
-	dst := sh.node.rel(req.Name, req.LHSSchema)
-	var old *mring.Relation
-	if req.Capture {
-		old = dst.Clone()
-	}
-	dst.Clear()
-	if incoming != nil {
-		dst.Merge(incoming)
-	}
-	resp := &installResp{}
-	if req.Capture {
-		resp.Cur = inet.EncodeRelationPlain(dst)
-		resp.Old = inet.EncodeRelationPlain(old)
-	}
-	return resp, nil
+	return sh.replace(name, lhsSchema, capture, func(dst *mring.Relation) {
+		if incoming != nil {
+			dst.Merge(incoming)
+		}
+	}), nil
 }
 
-// installDelta replaces a relation with a fresh one rebuilt from the
-// payload rows in wire order — the remote form of handing a worker a
-// driver-built fragment by reference (update-batch deals, warm loads).
-func (sh *Shard) installDelta(req *installDeltaReq) (*installDeltaResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
-	}
-	sh.schemas[req.Name] = req.Schema
-	fresh := mring.NewRelation(req.Schema)
-	if len(req.Payload) > 0 {
-		p, err := inet.DecodePayload(req.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: delta payload for %q: %w", req.Name, err)
-		}
-		p.Foreach(fresh.Add)
-	}
-	sh.node.rels[req.Name] = fresh
-	return &installDeltaResp{}, nil
+func (sh *Shard) installDelta(name string, r *mring.Relation) error {
+	sh.node.rels[name] = r
+	return nil
 }
 
-// partitionOut splits the shard's fragment of Src by key and returns the
-// per-destination payloads — the sender half of an exchange.
-func (sh *Shard) partitionOut(req *partitionOutReq) (*partitionOutResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
-	}
-	for _, p := range req.KeyPos {
-		if p < 0 || p >= len(req.Schema) {
-			return nil, fmt.Errorf("cluster: key position %d outside schema %v", p, req.Schema)
-		}
-	}
-	if _, ok := sh.schemas[req.Src]; !ok {
-		sh.schemas[req.Src] = req.Schema
-	}
-	src := sh.node.rel(req.Src, req.Schema)
-	frags := dist.SplitByKey(src, req.KeyPos, sh.workers)
-	resp := &partitionOutResp{Frags: make([][]byte, len(frags))}
-	for i, f := range frags {
-		if f == nil || f.Len() == 0 {
-			continue
-		}
-		resp.Frags[i] = inet.EncodeRelationPlain(f)
-	}
-	return resp, nil
+func (sh *Shard) partitionOut(src string, schema mring.Schema, keyPos []int) ([]*mring.Relation, error) {
+	return dist.SplitByKey(sh.node.rel(src, schema), keyPos, sh.workers), nil
 }
 
-// fetch returns the shard's fragment of a relation without creating it —
-// Present distinguishes an absent replica from an empty one.
-func (sh *Shard) fetch(req *fetchReq) (*fetchResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
-	}
-	r := sh.node.rels[req.Name]
-	if r == nil {
-		return &fetchResp{}, nil
-	}
-	return &fetchResp{Present: true, Payload: inet.EncodeRelationPlain(r)}, nil
-}
+func (sh *Shard) fetch(name string) (*mring.Relation, error) { return sh.node.rels[name], nil }
 
-// snapshot returns every restorable fragment on the shard with its
-// bucket-table size — the worker half of a durability checkpoint.
-func (sh *Shard) snapshot() (*snapshotResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
-	}
-	resp := &snapshotResp{Frags: map[string]Frag{}}
-	for name, r := range sh.node.rels {
-		if !worthSnapshot(r) {
-			continue
-		}
-		resp.Frags[name] = snapFrag(r)
-	}
-	return resp, nil
-}
+func (sh *Shard) snapshot() (map[string]Frag, error) { return snapRels(sh.node.rels, nil), nil }
 
-// restore replaces the shard's entire state with checkpoint fragments,
-// rebuilt layout-exact (the worker re-warm step of crash recovery). Like
-// the in-process Restore, every fragment validates before any state is
-// touched, so a corrupt checkpoint never leaves the shard half-restored.
-func (sh *Shard) restore(req *restoreReq) (*restoreResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
-	}
-	rels := make(map[string]*mring.Relation, len(req.Frags))
-	for name, f := range req.Frags {
-		r, err := restoreFrag(name, f)
-		if err != nil {
-			return nil, err
-		}
-		rels[name] = r
-	}
+func (sh *Shard) restore(rels map[string]*mring.Relation) error {
 	sh.node.rels = rels
-	for name, r := range rels {
-		sh.schemas[name] = r.Schema()
-	}
-	return &restoreResp{}, nil
+	return nil
 }
 
-// installPayload fills a just-cleared relation from a wire payload the
-// way installFragment fills it from an in-process fragment: a columnar
-// payload merges from the batch and becomes dst's mirror; a row payload
-// replays in wire order. Row order is identical either way, so dst's
-// storage is bitwise independent of which form shipped.
-func installPayload(dst *mring.Relation, p *inet.Payload) {
-	if p.Batch != nil {
-		p.Batch.MergeInto(dst)
-		if dst.Len() == p.Batch.Len() {
-			pool.AttachMirror(dst, p.Batch)
+func (sh *Shard) drop(keep map[string]bool) error {
+	dropExcept(sh.node.rels, keep)
+	return nil
+}
+
+func (sh *Shard) relations(f func(name string, r *mring.Relation)) { visitSorted(sh.node.rels, f) }
+
+func (sh *Shard) close() error { return nil }
+
+// dropExcept deletes every relation not named in keep.
+func dropExcept(rels map[string]*mring.Relation, keep map[string]bool) {
+	for name := range rels {
+		if !keep[name] {
+			delete(rels, name)
 		}
+	}
+}
+
+// visitSorted visits rels with names sorted.
+func visitSorted(rels map[string]*mring.Relation, f func(name string, r *mring.Relation)) {
+	names := make([]string, 0, len(rels))
+	for name := range rels {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f(name, rels[name])
+	}
+}
+
+// runStmtOnNode evaluates a compute statement against one node's state
+// and returns the evaluation statistics. It only reads the schema map
+// (the driver resolved all schemas beforehand) and mutates nothing but
+// the node's own fragments (and the caller-private sink), so concurrent
+// calls on distinct nodes are race-free.
+func runStmtOnNode(n *node, schemas map[string]mring.Schema, s dist.Stmt, sink *mring.Relation) eval.Stats {
+	env := eval.NewEnv()
+	// Bind every relation the statement reads; lazily create fragments.
+	walkRefs(s.RHS, func(r *expr.Rel) {
+		name := eval.RelEnvName(r)
+		env.Bind(name, n.rel(name, schemas[name]))
+	})
+	target := n.rel(s.LHS, schemas[s.LHS])
+	ctx := eval.NewCtx(env)
+	if sink != nil {
+		ctx.CaptureFolds(target, sink)
+	}
+	// FoldStmt runs aggregate statements (pre-aggregations and view
+	// maintenance) through a per-worker hash-native group table over the
+	// node's own fragments; the tables stay worker-local here and meet
+	// only in applyXform's gather, in worker-index order.
+	ctx.FoldStmt(target, s.Op, s.RHS)
+	return ctx.Stats
+}
+
+// installFragment fills the just-cleared dst with a shipped fragment.
+// With a columnar batch the rows merge straight from the batch and the
+// batch becomes dst's mirror (the receiver keeps the fragment columnar);
+// otherwise the rows merge from the source relation. Either way rows
+// land in the source's Foreach order, so dst's storage is bitwise
+// independent of which path ran.
+func installFragment(dst, src *mring.Relation, batch *pool.ColBatch) {
+	if batch == nil {
+		dst.Merge(src)
 		return
 	}
-	p.Foreach(dst.Add)
+	batch.MergeInto(dst)
+	if dst.Len() == batch.Len() {
+		pool.AttachMirror(dst, batch)
+	}
+}
+
+// walkRefs visits every relational reference in an expression (descending
+// into transformer bodies, though compute statements carry none).
+func walkRefs(e expr.Expr, f func(*expr.Rel)) {
+	switch x := e.(type) {
+	case *dist.Xform:
+		walkRefs(x.Body, f)
+	case *expr.Rel:
+		f(x)
+	case *expr.Plus:
+		for _, t := range x.Terms {
+			walkRefs(t, f)
+		}
+	case *expr.Mul:
+		for _, t := range x.Factors {
+			walkRefs(t, f)
+		}
+	case *expr.Agg:
+		walkRefs(x.Body, f)
+	case *expr.Assign:
+		if x.Q != nil {
+			walkRefs(x.Q, f)
+		}
+	case *expr.Exists:
+		walkRefs(x.Body, f)
+	}
 }

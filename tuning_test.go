@@ -346,11 +346,12 @@ func skewedRow(rng *rand.Rand, id int) Tuple {
 	return Row(id, u, h, float64(1+rng.Intn(5)))
 }
 
-// TestSkewRebalanceRepartitions pins the skew feedback loop end to end:
-// a stream 90%-hot on the initially chosen partitioning column must
-// trigger at least one measured-skew repartition (and, with cooldown,
-// not thrash), and the repartitioned engine must still match an untuned
-// local engine bitwise (all values integral, so sums are exact).
+// TestSkewRebalanceRepartitions pins the skew feedback loop end to end,
+// on in-process shards and on worker servers alike: a stream 90%-hot on
+// the initially chosen partitioning column must trigger at least one
+// measured-skew repartition (and, with cooldown, not thrash), and the
+// repartitioned engine must still match an untuned local engine bitwise
+// (all values integral, so sums are exact).
 func TestSkewRebalanceRepartitions(t *testing.T) {
 	bases := map[string]Schema{"R": {"id", "u", "h", "v"}}
 	q := Sum([]string{"u", "h"}, Join(Table("R", "id", "u", "h", "v"), Val(Col("v"))))
@@ -362,51 +363,66 @@ func TestSkewRebalanceRepartitions(t *testing.T) {
 		Window: 2, SkewPatience: 2, SkewCooldown: 4,
 		Now: virtualClock(),
 	}
-	tuned, err := New("Q", q, bases, Distributed(8), KeyRanks(ranks), AutoTune(cfg))
-	if err != nil {
-		t.Fatal(err)
+	deployments := []struct {
+		name   string
+		deploy func(t *testing.T) Option
+	}{
+		{"Distributed(8)", func(*testing.T) Option { return Distributed(8) }},
+		{"Remote(8)", func(t *testing.T) Option {
+			addrs, _ := startWorkers(t, 8)
+			return Remote(addrs...)
+		}},
 	}
-	ref, err := New("Q", q, bases)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(1))
-	id := 0
-	for round := 0; round < 40; round++ {
-		bt, br := NewBatch(bases["R"]), NewBatch(bases["R"])
-		for i := 0; i < 400; i++ {
-			row := skewedRow(rng, id)
-			id++
-			if err := bt.Insert(row); err != nil {
+	for _, d := range deployments {
+		t.Run(d.name, func(t *testing.T) {
+			tuned, err := New("Q", q, bases, d.deploy(t), KeyRanks(ranks), AutoTune(cfg))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := br.Insert(row.Clone()); err != nil {
+			defer tuned.Close()
+			ref, err := New("Q", q, bases)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := tuned.ApplyBatch("R", bt); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.ApplyBatch("R", br); err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	st := tuned.Stats()
-	if st.Tuning.Repartitions < 1 {
-		t.Fatalf("skewed stream never triggered a repartition: %+v (imbalance %.2f)",
-			st.Tuning, st.Tuning.Imbalance)
-	}
-	if st.Tuning.Repartitions > 4 {
-		t.Fatalf("repartitioning thrashed: %d placements deployed", st.Tuning.Repartitions)
-	}
-	if len(st.Workers) != 8 {
-		t.Fatalf("Stats.Workers has %d entries, want 8", len(st.Workers))
-	}
-	got, want := tuned.Result().rel, ref.Result().rel
-	if !got.Equal(want) {
-		t.Fatalf("repartitioned engine diverged from untuned local engine\n got %v\nwant %v", got, want)
+			rng := rand.New(rand.NewSource(1))
+			id := 0
+			for round := 0; round < 40; round++ {
+				bt, br := NewBatch(bases["R"]), NewBatch(bases["R"])
+				for i := 0; i < 400; i++ {
+					row := skewedRow(rng, id)
+					id++
+					if err := bt.Insert(row); err != nil {
+						t.Fatal(err)
+					}
+					if err := br.Insert(row.Clone()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tuned.ApplyBatch("R", bt); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.ApplyBatch("R", br); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			st := tuned.Stats()
+			if st.Tuning.Repartitions < 1 {
+				t.Fatalf("skewed stream never triggered a repartition: %+v (imbalance %.2f)",
+					st.Tuning, st.Tuning.Imbalance)
+			}
+			if st.Tuning.Repartitions > 4 {
+				t.Fatalf("repartitioning thrashed: %d placements deployed", st.Tuning.Repartitions)
+			}
+			if len(st.Workers) != 8 {
+				t.Fatalf("Stats.Workers has %d entries, want 8", len(st.Workers))
+			}
+			got, want := tuned.Result().rel, ref.Result().rel
+			if !got.Equal(want) {
+				t.Fatalf("repartitioned engine diverged from untuned local engine\n got %v\nwant %v", got, want)
+			}
+		})
 	}
 }
 
